@@ -20,11 +20,11 @@ int main() {
     {
         TextTable table({"classifier", "10-liquid accuracy"});
         for (const auto& [name, kind] :
-             std::vector<std::pair<std::string, core::ClassifierKind>>{
-                 {"SVM (paper)", core::ClassifierKind::kSvm},
-                 {"kNN (k=5)", core::ClassifierKind::kKnn}}) {
+             std::vector<std::pair<std::string, sim::ClassifierKind>>{
+                 {"SVM (paper)", sim::ClassifierKind::kSvm},
+                 {"kNN (k=5)", sim::ClassifierKind::kKnn}}) {
             auto config = bench::standard_experiment();
-            config.wimi.classifier = kind;
+            config.classifier = kind;
             table.add_row({name, format_percent(bench::run_accuracy(config))});
         }
         table.print(std::cout);

@@ -87,7 +87,7 @@ int main() {
                         "n/a (engineering benchmark, not a paper figure)");
 
     const sim::ExperimentConfig config = bench_config();
-    const serve::TrainedModel model = sim::train_experiment_model(config);
+    const core::Model model = sim::train_experiment_model(config);
     serve::save_model_file(kModelPath, model);
 
     auto t0 = std::chrono::steady_clock::now();

@@ -658,7 +658,7 @@ StreamBenchResult run_stream_vs_batch() {
         config.hop = 0;
         stream::StreamingPipeline pipeline(
             config, core::make_window_extractor(wimi, unknown.baseline),
-            stream::make_classifier(wimi));
+            wimi.model());
         std::optional<stream::WindowResult> window;
         for (const csi::CsiFrame& frame : unknown.target.frames) {
             if (auto emitted = pipeline.push(frame)) {
@@ -666,9 +666,11 @@ StreamBenchResult run_stream_vs_batch() {
             }
         }
         const auto batch = wimi.identify(unknown.baseline, unknown.target);
-        result.full_window_parity = window.has_value() &&
-                                    window->features == batch.features &&
-                                    window->raw_label == batch.material_id;
+        result.full_window_parity =
+            window.has_value() &&
+            window->features ==
+                wimi.features(unknown.baseline, unknown.target) &&
+            window->raw_label == batch.material_id;
     }
 
     // A long stream: the capture's frames cycled out to `frames` with
@@ -687,7 +689,7 @@ StreamBenchResult run_stream_vs_batch() {
     config.hop = result.hop;
     stream::StreamingPipeline pipeline(
         config, core::make_window_extractor(wimi, unknown.baseline),
-        stream::make_classifier(wimi));
+        wimi.model());
 
     // Untimed verification pass: every emitted window bit-identical to
     // batch extraction over the materialized subseries.
@@ -741,7 +743,7 @@ StreamBenchResult run_stream_vs_batch() {
                 long_stream.frames.begin() +
                     static_cast<std::ptrdiff_t>(start + result.window));
             const auto features = wimi.features(unknown.baseline, sub);
-            benchmark::DoNotOptimize(wimi.identify_features(features));
+            benchmark::DoNotOptimize(wimi.model().classify(features));
         }
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - t0;

@@ -162,7 +162,7 @@ int run_demo() {
     stream::StreamingPipeline pipeline(
         config,
         core::make_window_extractor(wimi, campaign.baseline),
-        stream::make_classifier(wimi));
+        wimi.model());
 
     std::cout << "\nmonitoring " << kDays << " days, " << kPacketsPerDay
               << " packets/day, window " << config.window << " hop "
@@ -239,7 +239,7 @@ int run_follow(const std::string& dir, std::size_t window, std::size_t hop,
     config.hop = hop;
     stream::StreamingPipeline pipeline(
         config, core::make_window_extractor(wimi, baseline),
-        stream::make_classifier(wimi));
+        wimi.model());
 
     stream::TailerConfig tail;
     tail.idle_timeout_ms = idle_timeout_ms;

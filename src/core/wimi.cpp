@@ -6,7 +6,6 @@
 #include "common/math.hpp"
 #include "core/antenna_selection.hpp"
 #include "core/subcarrier_selection.hpp"
-#include "ml/knn.hpp"
 #include "obs/obs.hpp"
 
 namespace wimi::core {
@@ -26,9 +25,7 @@ WimiConfig with_thread_plumbing(WimiConfig config) {
 Wimi::Wimi(WimiConfig config)
     : config_(with_thread_plumbing(std::move(config))),
       pairs_(config_.pairs),
-      subcarriers_(config_.subcarriers),
-      svm_(config_.svm),
-      knn_(config_.knn_k) {
+      subcarriers_(config_.subcarriers) {
     ensure(!pairs_.empty() || config_.auto_select_pair,
            "Wimi: need antenna pairs or auto_select_pair");
     ensure(config_.good_subcarrier_count >= 1,
@@ -107,8 +104,6 @@ void Wimi::enroll_features(std::string_view material_name,
 }
 
 double Wimi::train_tuned(const ml::GridSearchConfig& search) {
-    ensure(config_.classifier == ClassifierKind::kSvm,
-           "Wimi::train_tuned: only the SVM backend is tunable");
     ensure(database_.material_count() >= 2,
            "Wimi::train_tuned: need at least two enrolled materials");
     ml::GridSearchConfig tuned_search = search;
@@ -120,7 +115,6 @@ double Wimi::train_tuned(const ml::GridSearchConfig& search) {
     const std::size_t svm_threads = config_.svm.threads;
     config_.svm = result.best;
     config_.svm.threads = svm_threads;
-    svm_ = ml::MulticlassSvm(config_.svm);
     train();
     return result.best_accuracy;
 }
@@ -131,43 +125,33 @@ void Wimi::train() {
     WIMI_TRACE_SPAN("wimi.train");
     ensure(database_.sample_count() >= database_.material_count(),
            "Wimi::train: need at least one sample per material");
-    scaler_.fit(database_.dataset());
-    const ml::Dataset scaled = scaler_.transform(database_.dataset());
-    switch (config_.classifier) {
-        case ClassifierKind::kSvm:
-            svm_.train(scaled);
-            break;
-        case ClassifierKind::kKnn:
-            knn_.train(scaled);
-            break;
-    }
+    Model next;
+    next.feature = config_.feature;
+    next.pairs = pairs_;
+    next.subcarriers = subcarriers_;
+    const auto names = database_.names();
+    next.class_names.assign(names.begin(), names.end());
+    next.scaler.fit(database_.dataset());
+    next.svm = ml::MulticlassSvm(config_.svm);
+    next.svm.train(next.scaler.transform(database_.dataset()));
+    // Assigned in place, so a reference from model() sees the new state.
+    model_ = std::move(next);
     trained_ = true;
 }
 
-IdentificationResult Wimi::identify_features(
-    std::span<const double> features) const {
-    ensure(trained_, "Wimi::identify: train() not called");
-    WIMI_TRACE_SPAN("wimi.classify");
-    WIMI_OBS_COUNT("wimi.identifications", 1);
-    const auto scaled = scaler_.transform(features);
-    IdentificationResult result;
-    result.features.assign(features.begin(), features.end());
-    switch (config_.classifier) {
-        case ClassifierKind::kSvm:
-            result.material_id = svm_.predict(scaled);
-            break;
-        case ClassifierKind::kKnn:
-            result.material_id = knn_.predict(scaled);
-            break;
-    }
-    result.material_name = database_.material_name(result.material_id);
-    return result;
+const Model& Wimi::model() const {
+    ensure(trained_, "Wimi::model: train() not called");
+    return model_;
 }
 
 IdentificationResult Wimi::identify(const csi::CsiSeries& baseline,
                                     const csi::CsiSeries& target) const {
     WIMI_TRACE_SPAN("wimi.identify");
-    return identify_features(features(baseline, target));
+    const std::vector<double> extracted = features(baseline, target);
+    const Model& trained = model();
+    WIMI_TRACE_SPAN("wimi.classify");
+    WIMI_OBS_COUNT("wimi.identifications", 1);
+    return trained.classify(extracted);
 }
 
 }  // namespace wimi::core

@@ -6,6 +6,10 @@
 //   ->  material feature extraction  ->  material database + SVM
 //   classification.
 //
+// Wimi is the trainer: train() fills one immutable core::Model
+// (core/model.hpp), and identify() classifies through that model, as the
+// serving and streaming paths do.
+//
 // Usage:
 //   Wimi wimi(config);
 //   wimi.calibrate(some_baseline_series);               // pick subcarriers
@@ -20,19 +24,13 @@
 
 #include "core/material_database.hpp"
 #include "core/material_feature.hpp"
+#include "core/model.hpp"
 #include "csi/frame.hpp"
 #include "ml/grid_search.hpp"
-#include "ml/knn.hpp"
 #include "ml/scaler.hpp"
 #include "ml/svm.hpp"
 
 namespace wimi::core {
-
-/// Classifier backend choice.
-enum class ClassifierKind {
-    kSvm,  ///< the paper's choice
-    kKnn,  ///< baseline for comparison
-};
 
 /// Full system configuration.
 struct WimiConfig {
@@ -47,23 +45,13 @@ struct WimiConfig {
     std::vector<std::size_t> subcarriers;
     std::size_t good_subcarrier_count = 4;  ///< the paper's P
     FeatureConfig feature;
-    ClassifierKind classifier = ClassifierKind::kSvm;
     ml::SvmConfig svm;
-    std::size_t knn_k = 5;
     /// Fan-out width for training parallelism (one-vs-one SVM machines,
     /// grid-search points in train_tuned); 0 = exec pool default /
     /// WIMI_THREADS, 1 = serial. Propagated into svm.threads and the
     /// grid-search config when those leave their own width unset.
     /// Training results are identical at every width.
     std::size_t threads = 0;
-};
-
-/// Result of identifying one unknown target.
-struct IdentificationResult {
-    int material_id = -1;
-    std::string material_name;
-    /// The extracted feature vector (diagnostics).
-    std::vector<double> features;
 };
 
 /// End-to-end material identification system.
@@ -97,20 +85,22 @@ public:
 
     /// Tunes the SVM's (C, gamma) by cross-validated grid search on the
     /// enrollment database, adopts the winner, then trains. Returns the
-    /// cross-validation accuracy of the chosen settings. Requires the SVM
-    /// classifier backend and >= 2 materials.
+    /// cross-validation accuracy of the chosen settings. Requires >= 2
+    /// materials.
     double train_tuned(const ml::GridSearchConfig& search = {});
 
     /// True once train() has succeeded.
     bool trained() const { return trained_; }
 
-    /// Identifies one unknown measurement. Requires train() first.
+    /// The trained model. Throws wimi::Error unless trained(). The
+    /// reference stays valid (and sees the new state) across retraining,
+    /// for as long as this Wimi lives.
+    const Model& model() const;
+
+    /// Identifies one unknown measurement: features() with the current
+    /// calibration, then model().classify. Requires train() first.
     IdentificationResult identify(const csi::CsiSeries& baseline,
                                   const csi::CsiSeries& target) const;
-
-    /// Classifies a pre-extracted feature vector.
-    IdentificationResult identify_features(
-        std::span<const double> features) const;
 
     const MaterialDatabase& database() const { return database_; }
     MaterialDatabase& database() { return database_; }
@@ -124,20 +114,17 @@ public:
     /// Antenna pairs in use.
     const std::vector<AntennaPair>& pairs() const { return pairs_; }
 
-    /// Trained-state access for the model serializer (serve/model.hpp):
-    /// the fitted scaler and the trained SVM ensemble. Meaningful only
-    /// once trained() is true.
-    const ml::StandardScaler& scaler() const { return scaler_; }
-    const ml::MulticlassSvm& svm() const { return svm_; }
+    /// The model's fitted scaler and trained SVM ensemble. Meaningful
+    /// only once trained() is true.
+    const ml::StandardScaler& scaler() const { return model_.scaler; }
+    const ml::MulticlassSvm& svm() const { return model_.svm; }
 
 private:
     WimiConfig config_;
     std::vector<AntennaPair> pairs_;
     std::vector<std::size_t> subcarriers_;
     MaterialDatabase database_;
-    ml::StandardScaler scaler_;
-    ml::MulticlassSvm svm_;
-    ml::KnnClassifier knn_;
+    Model model_;
     bool trained_ = false;
 };
 

@@ -70,10 +70,16 @@ double amplitude_ratio_stability(const CsiSeries& series,
                                  std::size_t subcarrier) {
     ensure(antenna1 != antenna2,
            "amplitude_ratio_stability: antennas must differ");
-    const auto ratios =
-        series.amplitude_ratio_series(antenna1, antenna2, subcarrier);
+    // A frame with zero amplitude on the denominator antenna (a quantized
+    // capture can hold one) has no ratio; it is skipped like any other
+    // non-finite ratio instead of failing the whole probe.
     MeanVar stats;
-    for (const double r : ratios) {
+    for (const CsiFrame& frame : series.frames) {
+        const double denom = frame.amplitude(antenna2, subcarrier);
+        if (!(denom > 0.0)) {
+            continue;
+        }
+        const double r = frame.amplitude(antenna1, subcarrier) / denom;
         if (std::isfinite(r)) {
             stats.add(r);
         }

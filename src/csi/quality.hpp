@@ -36,6 +36,8 @@ AmplitudeQuality amplitude_quality(const CsiSeries& series);
 /// Per-packet stability of the amplitude ratio |H_a| / |H_b| between two
 /// antennas at one subcarrier, as a unit-mean variance (the Sec. III-D
 /// quantity the material feature is built on). Lower is more stable.
+/// Frames without a finite ratio (zero amplitude on antenna2) are
+/// skipped.
 double amplitude_ratio_stability(const CsiSeries& series,
                                  std::size_t antenna1, std::size_t antenna2,
                                  std::size_t subcarrier);

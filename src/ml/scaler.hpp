@@ -35,7 +35,7 @@ public:
 
     /// transform(features, out) without the per-call validation, for
     /// batch loops that checked fitted() and the widths once at entry
-    /// (Dataset transform, the inference engine's row loop). Debug builds
+    /// (Dataset transform, core::Model::classify). Debug builds
     /// still assert the preconditions; release builds skip them.
     void transform_unchecked(std::span<const double> features,
                              std::span<double> out) const;

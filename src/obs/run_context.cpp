@@ -73,10 +73,6 @@ void RunContext::set_config(std::string_view serialized_config) {
     config_digest_ = config_digest(serialized_config);
 }
 
-void RunContext::set_config_digest(std::string digest) {
-    config_digest_ = std::move(digest);
-}
-
 void RunContext::note(std::string key, std::string value) {
     notes_.emplace_back(std::move(key),
                         '"' + json::escape(value) + '"');

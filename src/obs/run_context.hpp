@@ -65,9 +65,6 @@ public:
     /// Digests and records the run's serialized configuration.
     void set_config(std::string_view serialized_config);
 
-    /// Records a pre-computed digest directly.
-    void set_config_digest(std::string digest);
-
     /// Attaches a free-form annotation (accuracy, environment name, ...).
     /// Notes keep insertion order in the manifest.
     void note(std::string key, std::string value);

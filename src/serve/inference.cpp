@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/material_feature.hpp"
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
 
@@ -66,7 +65,7 @@ std::string model_cache_key(const std::filesystem::path& path) {
     return path.lexically_normal().string();
 }
 
-InferenceEngine::InferenceEngine(TrainedModel model, std::string digest)
+InferenceEngine::InferenceEngine(core::Model model, std::string digest)
     : model_(std::move(model)) {
     model_.validate();
     info_.version = kModelCurrentVersion;
@@ -84,7 +83,7 @@ InferenceEngine::InferenceEngine(TrainedModel model, std::string digest)
 InferenceEngine InferenceEngine::load(const std::filesystem::path& path) {
     const auto start = std::chrono::steady_clock::now();
     ModelInfo info;
-    TrainedModel model = load_model_file(path, &info);
+    core::Model model = load_model_file(path, &info);
     InferenceEngine engine(std::move(model), info.digest);
     engine.info_ = info;
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -171,39 +170,6 @@ void InferenceEngine::invalidate(const std::filesystem::path& path) {
 void InferenceEngine::clear_cache() {
     std::lock_guard<std::mutex> lock(cache_mutex());
     cache().clear();
-}
-
-const std::string& InferenceEngine::class_name(int material_id) const {
-    ensure(material_id >= 0 &&
-               static_cast<std::size_t>(material_id) <
-                   model_.class_names.size(),
-           "InferenceEngine: class id outside the model's class names");
-    return model_.class_names[static_cast<std::size_t>(material_id)];
-}
-
-std::vector<double> InferenceEngine::features(
-    const csi::CsiSeries& baseline, const csi::CsiSeries& target) const {
-    return core::extract_feature_vector(baseline, target, model_.pairs,
-                                        model_.subcarriers, model_.feature);
-}
-
-Prediction InferenceEngine::predict_features(
-    std::span<const double> features) const {
-    ensure(features.size() == model_.feature_width(),
-           "InferenceEngine: feature width does not match the model");
-    // The entry check above covers the scaler too: a loaded model's
-    // scaler width equals feature_width() (validated at restore time).
-    std::vector<double> scaled(features.size());
-    model_.scaler.transform_unchecked(features, scaled);
-    Prediction prediction;
-    prediction.material_id = model_.svm.predict(scaled);
-    prediction.material_name = class_name(prediction.material_id);
-    return prediction;
-}
-
-Prediction InferenceEngine::predict(const csi::CsiSeries& baseline,
-                                    const csi::CsiSeries& target) const {
-    return predict_features(features(baseline, target));
 }
 
 std::vector<Prediction> InferenceEngine::predict_batch(

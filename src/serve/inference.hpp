@@ -5,10 +5,11 @@
 // measurements against a model that was trained earlier — possibly in a
 // different process, on a different day. An InferenceEngine:
 //
-//   - holds one immutable TrainedModel (loaded via model_io, or
+//   - holds one immutable core::Model (loaded via model_io, or
 //     snapshotted in-process) plus its artifact digest;
 //   - extracts features with the *persisted* calibration state, so a
-//     prediction never depends on local Wimi configuration;
+//     prediction never depends on local Wimi configuration, and
+//     classifies through the model's own classify();
 //   - batches independent measurements through exec::parallel_map under
 //     the repo determinism contract — threads=N is bit-identical to
 //     threads=1, which runs the plain serial loop.
@@ -32,8 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "core/model.hpp"
 #include "csi/frame.hpp"
-#include "serve/model.hpp"
 #include "serve/model_io.hpp"
 
 namespace wimi::serve {
@@ -46,10 +47,7 @@ struct Observation {
 };
 
 /// One classification answer.
-struct Prediction {
-    int material_id = -1;
-    std::string material_name;
-};
+using Prediction = core::IdentificationResult;
 
 /// Options for batched prediction.
 struct BatchOptions {
@@ -63,7 +61,7 @@ class InferenceEngine {
 public:
     /// Wraps an already-materialized model (validated). `digest` is the
     /// artifact identity for manifests; empty for in-process snapshots.
-    explicit InferenceEngine(TrainedModel model, std::string digest = {});
+    explicit InferenceEngine(core::Model model, std::string digest = {});
 
     /// Loads a wimi.model.v1 artifact. Throws wimi::Error on any damage.
     /// Records `serve.model_load_us`.
@@ -87,27 +85,29 @@ public:
     /// Drops every cached engine (test isolation).
     static void clear_cache();
 
-    const TrainedModel& model() const { return model_; }
+    const core::Model& model() const { return model_; }
     const ModelInfo& info() const { return info_; }
 
     /// Content digest of the source artifact (ModelInfo::digest; "" for
     /// in-process snapshots).
     const std::string& digest() const { return info_.digest; }
 
-    /// Material name for a class id; throws wimi::Error when out of range.
-    const std::string& class_name(int material_id) const;
-
-    /// Extracts the model's feature vector for one measurement, using the
-    /// persisted calibration (pairs, subcarriers, feature settings).
+    /// core::Model::features with the persisted calibration.
     std::vector<double> features(const csi::CsiSeries& baseline,
-                                 const csi::CsiSeries& target) const;
+                                 const csi::CsiSeries& target) const {
+        return model_.features(baseline, target);
+    }
 
-    /// Classifies a pre-extracted (unscaled) feature vector.
-    Prediction predict_features(std::span<const double> features) const;
+    /// core::Model::classify of a pre-extracted (unscaled) vector.
+    Prediction predict_features(std::span<const double> features) const {
+        return model_.classify(features);
+    }
 
     /// Classifies one measurement.
     Prediction predict(const csi::CsiSeries& baseline,
-                       const csi::CsiSeries& target) const;
+                       const csi::CsiSeries& target) const {
+        return model_.classify(model_.features(baseline, target));
+    }
 
     /// Classifies a batch of independent measurements. Output order
     /// matches input order and is bit-identical at every thread width
@@ -117,7 +117,7 @@ public:
         const BatchOptions& options = {}) const;
 
 private:
-    TrainedModel model_;
+    core::Model model_;
     ModelInfo info_;
 };
 

@@ -1,55 +1,25 @@
-// The trained-model artifact: everything Wimi::identify needs, detached
-// from the training process.
+// The serving path's names for the trained model (core/model.hpp).
 //
 // Every run used to retrain the scaler/SVM/calibration stack from
-// scratch; the serving path instead snapshots a trained core::Wimi into
-// a TrainedModel, persists it as a `wimi.model.v1` file (model_io.hpp),
-// and serves predictions from the loaded copy (inference.hpp). The
-// bundle deliberately captures the *receiver-side state baked into the
-// classifier* — selected antenna pairs, selected subcarriers, the
-// feature-extraction settings, and the scaler moments — because a model
-// replayed against a receiver in a different calibration state is
-// silently wrong, not just inaccurate.
+// scratch; the serving path instead snapshots a trained core::Wimi's
+// model, persists it as a `wimi.model.v1` file (model_io.hpp), and
+// serves predictions from the loaded copy (inference.hpp).
 #pragma once
 
-#include <cstddef>
-#include <string>
-#include <vector>
-
-#include "core/material_feature.hpp"
+#include "core/model.hpp"
 #include "core/wimi.hpp"
-#include "ml/scaler.hpp"
-#include "ml/svm.hpp"
 
 namespace wimi::serve {
 
-/// A complete, self-contained classification model.
-struct TrainedModel {
-    /// Feature-extraction settings the model was trained with.
-    core::FeatureConfig feature;
-    /// Sensing antenna pairs, wrap-free reference pair first.
-    std::vector<core::AntennaPair> pairs;
-    /// Selected good subcarriers (calibration state).
-    std::vector<std::size_t> subcarriers;
-    /// Material names indexed by class id.
-    std::vector<std::string> class_names;
-    /// Fitted per-feature moments.
-    ml::StandardScaler scaler;
-    /// Trained one-vs-one ensemble.
-    ml::MulticlassSvm svm;
+/// The serving path's name for the one trained model type.
+using TrainedModel = core::Model;
 
-    /// Feature-vector width the scaler and SVM expect.
-    std::size_t feature_width() const { return scaler.means().size(); }
-
-    /// Checks cross-component consistency (trained SVM, fitted scaler,
-    /// matching widths, class ids covered by class_names, non-empty
-    /// calibration). Throws wimi::Error on violation.
-    void validate() const;
-};
-
-/// Snapshots a calibrated + trained SVM-backend `wimi` into a
-/// TrainedModel. Throws wimi::Error when `wimi` is untrained or uses
-/// the kNN backend (the model format persists the paper's SVM path).
-TrainedModel snapshot_model(const core::Wimi& wimi);
+/// A validated copy of `wimi.model()`. Throws wimi::Error when `wimi` is
+/// untrained or its model fails core::Model::validate().
+inline core::Model snapshot_model(const core::Wimi& wimi) {
+    core::Model model = wimi.model();
+    model.validate();
+    return model;
+}
 
 }  // namespace wimi::serve

@@ -145,16 +145,6 @@ private:
     std::size_t pos_ = 0;
 };
 
-std::string hex32(std::uint32_t v) {
-    static const char* digits = "0123456789abcdef";
-    std::string out(8, '0');
-    for (int i = 7; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[v & 0xFu];
-        v >>= 4;
-    }
-    return out;
-}
-
 std::string hex64(std::uint64_t v) {
     static const char* digits = "0123456789abcdef";
     std::string out(16, '0');
@@ -196,7 +186,7 @@ double finite_or_throw(double v, const char* what) {
 
 // --- section encoders ----------------------------------------------------
 
-std::vector<unsigned char> encode_meta(const TrainedModel& model) {
+std::vector<unsigned char> encode_meta(const core::Model& model) {
     std::vector<unsigned char> body;
     put_u32_le(body, 0);  // flags, reserved
     put_u32_le(body, static_cast<std::uint32_t>(model.feature_width()));
@@ -208,7 +198,7 @@ std::vector<unsigned char> encode_meta(const TrainedModel& model) {
     return body;
 }
 
-std::vector<unsigned char> encode_calib(const TrainedModel& model) {
+std::vector<unsigned char> encode_calib(const core::Model& model) {
     std::vector<unsigned char> body;
     const core::FeatureConfig& f = model.feature;
     put_f64_le(body, f.denoise.outlier_k_sigma);
@@ -233,7 +223,7 @@ std::vector<unsigned char> encode_calib(const TrainedModel& model) {
     return body;
 }
 
-std::vector<unsigned char> encode_scaler(const TrainedModel& model) {
+std::vector<unsigned char> encode_scaler(const core::Model& model) {
     std::vector<unsigned char> body;
     const auto means = model.scaler.means();
     const auto stddevs = model.scaler.stddevs();
@@ -247,7 +237,7 @@ std::vector<unsigned char> encode_scaler(const TrainedModel& model) {
     return body;
 }
 
-std::vector<unsigned char> encode_svm(const TrainedModel& model) {
+std::vector<unsigned char> encode_svm(const core::Model& model) {
     std::vector<unsigned char> body;
     const ml::SvmConfig& config = model.svm.config();
     put_u32_le(body, static_cast<std::uint32_t>(config.kernel));
@@ -400,7 +390,7 @@ ml::MulticlassSvm decode_svm(Cursor cursor) {
 
 // --- writer -------------------------------------------------------------
 
-void save_model(std::ostream& stream, const TrainedModel& model) {
+void save_model(std::ostream& stream, const core::Model& model) {
     model.validate();
 
     std::vector<std::vector<unsigned char>> sections;
@@ -441,7 +431,7 @@ void save_model(std::ostream& stream, const TrainedModel& model) {
 }
 
 void save_model_file(const std::filesystem::path& path,
-                     const TrainedModel& model) {
+                     const core::Model& model) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ensure(out.is_open(),
            "save_model_file: cannot open " + path.string());
@@ -453,7 +443,7 @@ void save_model_file(const std::filesystem::path& path,
 
 // --- reader -------------------------------------------------------------
 
-TrainedModel load_model(std::istream& stream, ModelInfo* info) {
+core::Model load_model(std::istream& stream, ModelInfo* info) {
     std::ostringstream buffer;
     buffer << stream.rdbuf();
     const std::string bytes = buffer.str();
@@ -524,7 +514,7 @@ TrainedModel load_model(std::istream& stream, ModelInfo* info) {
     }
     ensure(offset == bytes.size(), "load_model: trailing bytes");
 
-    TrainedModel model;
+    core::Model model;
     model.feature = calib.feature;
     model.pairs = std::move(calib.pairs);
     model.subcarriers = std::move(calib.subcarriers);
@@ -553,8 +543,8 @@ TrainedModel load_model(std::istream& stream, ModelInfo* info) {
     return model;
 }
 
-TrainedModel load_model_file(const std::filesystem::path& path,
-                             ModelInfo* info) {
+core::Model load_model_file(const std::filesystem::path& path,
+                            ModelInfo* info) {
     std::ifstream in(path, std::ios::binary);
     ensure(in.is_open(), "load_model_file: cannot open " + path.string());
     return load_model(in, info);

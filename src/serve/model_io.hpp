@@ -1,6 +1,6 @@
 // Trained-model serialization: the `wimi.model.v1` container format.
 //
-// Persists a serve::TrainedModel so training (slow, needs enrollment
+// Persists a core::Model so training (slow, needs enrollment
 // data) and inference (fast, packet-stream-by-packet-stream) can run in
 // separate processes — the paper's deployment story of a calibrated
 // device identifying materials in the field. The format follows the
@@ -64,7 +64,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "serve/model.hpp"
+#include "core/model.hpp"
 
 namespace wimi::serve {
 
@@ -92,22 +92,22 @@ struct ModelInfo {
 
 /// Writes `model` to `stream`. Throws wimi::Error on an inconsistent
 /// model (validate() fails) or stream failure.
-void save_model(std::ostream& stream, const TrainedModel& model);
+void save_model(std::ostream& stream, const core::Model& model);
 
 /// Writes `model` to `path`, overwriting any existing file.
 void save_model_file(const std::filesystem::path& path,
-                     const TrainedModel& model);
+                     const core::Model& model);
 
 /// Reads a model from `stream`. Strict: any damage — bad magic, unknown
 /// version, checksum mismatch, truncation, lying lengths, non-finite
 /// values, semantic inconsistency — throws wimi::Error. The returned
-/// model has passed TrainedModel::validate(). `info` (when non-null)
+/// model has passed core::Model::validate(). `info` (when non-null)
 /// receives the artifact summary including its digest.
-TrainedModel load_model(std::istream& stream, ModelInfo* info = nullptr);
+core::Model load_model(std::istream& stream, ModelInfo* info = nullptr);
 
 /// Reads a model from `path`.
-TrainedModel load_model_file(const std::filesystem::path& path,
-                             ModelInfo* info = nullptr);
+core::Model load_model_file(const std::filesystem::path& path,
+                            ModelInfo* info = nullptr);
 
 /// Content digest (64-bit FNV-1a, hex) of the artifact at `path`,
 /// without decoding it. Matches ModelInfo::digest for a loadable file.

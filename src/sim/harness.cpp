@@ -21,7 +21,7 @@ namespace {
 /// Fold-local train/predict closure matching the experiment's classifier.
 std::vector<int> train_and_predict(const ml::Dataset& train,
                                    const ml::Dataset& test,
-                                   const core::WimiConfig& config) {
+                                   const ExperimentConfig& config) {
     ml::StandardScaler scaler;
     scaler.fit(train);
     const ml::Dataset scaled_train = scaler.transform(train);
@@ -34,8 +34,8 @@ std::vector<int> train_and_predict(const ml::Dataset& train,
            "train_and_predict: test feature width does not match the scaler");
     std::vector<double> scaled(test.feature_count());
     switch (config.classifier) {
-        case core::ClassifierKind::kSvm: {
-            ml::MulticlassSvm svm(config.svm);
+        case ClassifierKind::kSvm: {
+            ml::MulticlassSvm svm(config.wimi.svm);
             svm.train(scaled_train);
             for (std::size_t i = 0; i < test.size(); ++i) {
                 scaler.transform_unchecked(test.features(i), scaled);
@@ -43,8 +43,8 @@ std::vector<int> train_and_predict(const ml::Dataset& train,
             }
             break;
         }
-        case core::ClassifierKind::kKnn: {
-            ml::KnnClassifier knn(config.knn_k);
+        case ClassifierKind::kKnn: {
+            ml::KnnClassifier knn(kKnnNeighbors);
             knn.train(scaled_train);
             for (std::size_t i = 0; i < test.size(); ++i) {
                 scaler.transform_unchecked(test.features(i), scaled);
@@ -152,9 +152,9 @@ std::string serialize_config(const ExperimentConfig& config) {
         out << (i > 0 ? "," : "") << wc.subcarriers[i];
     }
     out << ";good_sc=" << wc.good_subcarrier_count
-        << ";classifier=" << static_cast<int>(wc.classifier)
+        << ";classifier=" << static_cast<int>(config.classifier)
         << ";svm_c=" << wc.svm.c << ";svm_gamma=" << wc.svm.gamma
-        << ";knn_k=" << wc.knn_k << ";reps=" << config.repetitions
+        << ";knn_k=" << kKnnNeighbors << ";reps=" << config.repetitions
         << ";folds=" << config.cv_folds
         << ";jitter=" << config.position_jitter_m
         << ";seed=" << config.seed;
@@ -248,7 +248,7 @@ ExperimentResult evaluate_dataset(const ml::Dataset& data,
     auto confusion = ml::cross_validate(
         data, config.cv_folds, rng,
         [&](const ml::Dataset& train, const ml::Dataset& test) {
-            return train_and_predict(train, test, config.wimi);
+            return train_and_predict(train, test, config);
         },
         class_names, config.threads);
     ExperimentResult result{std::move(confusion), 0.0, 0.0,
@@ -298,9 +298,9 @@ ExperimentResult run_identification_experiment(
     return result;
 }
 
-serve::TrainedModel train_experiment_model(const ExperimentConfig& config) {
+core::Model train_experiment_model(const ExperimentConfig& config) {
     WIMI_TRACE_SPAN("harness.train_model");
-    ensure(config.wimi.classifier == core::ClassifierKind::kSvm,
+    ensure(config.classifier == ClassifierKind::kSvm,
            "train_experiment_model: model export requires the SVM backend");
     core::Wimi wimi = make_calibrated_wimi(config);
     const ml::Dataset data = build_feature_dataset(config, wimi);

@@ -19,6 +19,15 @@
 
 namespace wimi::sim {
 
+/// Classifier the cross-validation folds train (evaluate_dataset).
+enum class ClassifierKind {
+    kSvm = 0,  ///< the paper's choice
+    kKnn = 1,  ///< baseline for comparison, k = kKnnNeighbors
+};
+
+/// Neighbour count of the kNN baseline.
+inline constexpr std::size_t kKnnNeighbors = 5;
+
 /// Full configuration of one identification experiment.
 struct ExperimentConfig {
     ScenarioConfig scenario;
@@ -26,6 +35,7 @@ struct ExperimentConfig {
                                     rf::all_liquids().end()};
     std::size_t repetitions = 20;  ///< measurements per liquid (paper: 20)
     core::WimiConfig wimi;
+    ClassifierKind classifier = ClassifierKind::kSvm;
     std::size_t cv_folds = 5;
     /// Std-dev of the beaker repositioning between repetitions [m].
     double position_jitter_m = 0.004;
@@ -81,10 +91,10 @@ ExperimentResult evaluate_dataset(const ml::Dataset& data,
 /// Trains a deployable model on the experiment's full enrollment set (no
 /// cross-validation): calibrate, capture every (liquid x repetition)
 /// measurement, fit the scaler + one-vs-one SVM on all rows, and
-/// snapshot the result. Requires the SVM classifier backend. This is the
+/// snapshot the result. Requires the SVM classifier. This is the
 /// training half of "train once, infer many"; persist the returned model
 /// with serve::save_model_file.
-serve::TrainedModel train_experiment_model(const ExperimentConfig& config);
+core::Model train_experiment_model(const ExperimentConfig& config);
 
 /// Per-measurement outcome of classifying one experiment's capture
 /// schedule with a loaded model, in schedule order. `predicted[i]` is

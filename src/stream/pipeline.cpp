@@ -2,36 +2,26 @@
 
 #include <chrono>
 #include <cmath>
-#include <limits>
 
-#include "common/error.hpp"
 #include "common/math.hpp"
 #include "core/wimi.hpp"
 #include "obs/obs.hpp"
 
 namespace wimi::stream {
 
-Classifier make_classifier(const core::Wimi& wimi) {
-    ensure(wimi.trained(),
-           "make_classifier: Wimi instance is not trained");
-    return [&wimi](std::span<const double> features) {
-        core::IdentificationResult result = wimi.identify_features(features);
-        return std::make_pair(result.material_id,
-                              std::move(result.material_name));
-    };
+const core::Model& make_classifier(const core::Wimi& wimi) {
+    return wimi.model();
 }
 
 StreamingPipeline::StreamingPipeline(
     StreamConfig config, core::WindowFeatureExtractor extractor,
-    Classifier classifier, std::optional<ml::PsiReference> psi_reference)
+    const core::Model& model, std::optional<ml::PsiReference> psi_reference)
     : config_(config),
       extractor_(std::move(extractor)),
-      classifier_(std::move(classifier)),
+      model_(&model),
       ring_(config.window),
       planner_(config.window, config.hop),
       smoother_(config.smoothing) {
-    ensure(static_cast<bool>(classifier_),
-           "StreamingPipeline: classifier must be callable");
     if (psi_reference.has_value()) {
         gate_.emplace(std::move(*psi_reference), config_.psi);
     }
@@ -63,12 +53,9 @@ WindowResult StreamingPipeline::evaluate(const WindowPlan& plan) {
 
     result.features = extractor_.extract(scratch_window_);
 
-    auto [label, name] = classifier_(result.features);
-    result.raw_label = label;
-    result.raw_name = std::move(name);
-    if (result.raw_label >= 0) {
-        names_[result.raw_label] = result.raw_name;
-    }
+    core::IdentificationResult raw = model_->classify(result.features);
+    result.raw_label = raw.material_id;
+    result.raw_name = std::move(raw.material_name);
 
     // Streaming calibration quality: circular stddev of the reference
     // pair's phase-difference stream at the first selected subcarrier.
@@ -102,16 +89,8 @@ WindowResult StreamingPipeline::evaluate(const WindowPlan& plan) {
         result.stable_label = smoothed.stable_label;
         result.changed = smoothed.changed;
     }
-    if (result.stable_label == result.raw_label) {
-        result.stable_name = result.raw_name;
-    } else if (result.stable_label >= 0) {
-        // The smoother can lag the raw label; the memo of names seen
-        // from the classifier resolves it (the stable label was a raw
-        // label of some earlier window by construction).
-        const auto it = names_.find(result.stable_label);
-        if (it != names_.end()) {
-            result.stable_name = it->second;
-        }
+    if (result.stable_label >= 0) {
+        result.stable_name = model_->class_name(result.stable_label);
     }
 
     WIMI_OBS_COUNT("stream.windows", 1);

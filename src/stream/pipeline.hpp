@@ -5,9 +5,10 @@
 // `window` frames in a FrameRing, and on each WindowPlanner-scheduled
 // emission materializes the window, extracts the material feature vector
 // against the fixed baseline (WindowFeatureExtractor — bit-identical to
-// the batch path), classifies it, and folds the label through PSI drift
-// gating and decision smoothing. Memory is O(window) regardless of
-// stream length.
+// the batch path), classifies it with the trained core::Model (the same
+// Model::classify the batch and serving paths call), and folds the label
+// through PSI drift gating and decision smoothing. Memory is O(window)
+// regardless of stream length.
 //
 // Parity contract: with window == trace length and hop == 0 the single
 // emitted window contains exactly the frames the batch pipeline sees, so
@@ -25,14 +26,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "core/model.hpp"
 #include "core/streaming_feature.hpp"
 #include "csi/frame.hpp"
 #include "csi/ring.hpp"
@@ -46,13 +44,9 @@ class Wimi;
 
 namespace wimi::stream {
 
-/// Classifies one feature vector: (label id, label name).
-using Classifier =
-    std::function<std::pair<int, std::string>(std::span<const double>)>;
-
-/// Adapts a trained core::Wimi into a Classifier. The Wimi instance must
-/// outlive the returned functor.
-Classifier make_classifier(const core::Wimi& wimi);
+/// Same as wimi.model(): the pipeline's model argument for a trained
+/// Wimi, which must outlive the pipeline. Throws unless wimi.trained().
+const core::Model& make_classifier(const core::Wimi& wimi);
 
 struct StreamConfig {
     std::size_t window = 64;  ///< frames per evaluation (ring capacity)
@@ -88,13 +82,18 @@ struct WindowResult {
 
 class StreamingPipeline {
 public:
+    /// Classifies with `model`, which must outlive the pipeline.
     /// `psi_reference` enables drift gating when provided; pass
     /// std::nullopt to smooth every window unconditionally.
     StreamingPipeline(StreamConfig config,
                       core::WindowFeatureExtractor extractor,
-                      Classifier classifier,
+                      const core::Model& model,
                       std::optional<ml::PsiReference> psi_reference =
                           std::nullopt);
+    /// A temporary model would dangle.
+    StreamingPipeline(StreamConfig, core::WindowFeatureExtractor,
+                      core::Model&&,
+                      std::optional<ml::PsiReference> = std::nullopt) = delete;
 
     /// Feeds one frame; returns the evaluated window when this arrival
     /// completes one per the window/hop schedule.
@@ -117,7 +116,7 @@ public:
     }
 
     /// Forgets all stream state (ring, schedule, smoother, PSI pool);
-    /// the baseline, classifier, and config survive.
+    /// the baseline, model, and config survive.
     void reset();
 
 private:
@@ -125,14 +124,13 @@ private:
 
     StreamConfig config_;
     core::WindowFeatureExtractor extractor_;
-    Classifier classifier_;
+    const core::Model* model_;
     csi::FrameRing ring_;
     WindowPlanner planner_;
     DecisionSmoother smoother_;
     std::optional<ml::OnlinePsiGate> gate_;
     core::RunningPhaseCalibration calib_;
     csi::CsiSeries scratch_window_;  ///< reused across evaluations
-    std::map<int, std::string> names_;  ///< label -> name memo
     std::uint64_t drift_gated_ = 0;
 };
 

@@ -135,7 +135,6 @@ TraceTailer::Pull TraceTailer::pull_one(csi::CsiFrame& out) {
 
     if (crc_ok && finite_ok) {
         ++consumed_;
-        ++delivered_;
         WIMI_OBS_COUNT("stream.tail.frames", 1);
         out = std::move(frame);
         return Pull::kFrame;

@@ -54,12 +54,9 @@ public:
     const TailerConfig& config() const { return config_; }
     const std::filesystem::path& path() const { return path_; }
 
-    /// True once the 32-byte header has been read and validated.
-    bool header_seen() const { return header_seen_; }
     std::size_t antenna_count() const { return antennas_; }
     std::size_t subcarrier_count() const { return subcarriers_; }
 
-    std::uint64_t frames_delivered() const { return delivered_; }
     std::uint64_t frames_skipped() const { return skipped_; }
 
     /// True once the tailer has permanently stopped (corruption under
@@ -78,13 +75,12 @@ private:
     std::filesystem::path path_;
     TailerConfig config_;
     std::ifstream stream_;
-    bool header_seen_ = false;
+    bool header_seen_ = false;  ///< the 32-byte header read and validated
     bool stopped_ = false;
     std::size_t antennas_ = 0;
     std::size_t subcarriers_ = 0;
     std::size_t record_bytes_ = 0;
     std::uint64_t consumed_ = 0;  ///< complete records fully processed
-    std::uint64_t delivered_ = 0;
     std::uint64_t skipped_ = 0;
     std::vector<unsigned char> buffer_;  ///< one record, reused
 };

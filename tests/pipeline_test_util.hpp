@@ -1,14 +1,18 @@
 // Shared helpers for core-pipeline tests: synthetic CSI series with exact,
-// known phase/amplitude structure, and small simulated captures.
+// known phase/amplitude structure, small simulated captures, and a tiny
+// trained model.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
+#include "core/model.hpp"
 #include "csi/frame.hpp"
 #include "csi/subcarrier.hpp"
+#include "ml/dataset.hpp"
 
 namespace wimi::testutil {
 
@@ -38,6 +42,24 @@ inline csi::CsiSeries synthetic_series(std::vector<double> amps,
         series.frames.push_back(std::move(frame));
     }
     return series;
+}
+
+/// A trained two-class model ("A", "B") over pairs x subcarriers
+/// features, for tests of streaming mechanics rather than labels.
+inline core::Model tiny_model(std::vector<core::AntennaPair> pairs,
+                              std::vector<std::size_t> subcarriers) {
+    const std::size_t width = pairs.size() * subcarriers.size();
+    ml::Dataset data(width);
+    data.add(std::vector<double>(width, 0.0), 0);
+    data.add(std::vector<double>(width, 1.0), 1);
+    core::Model model;
+    model.pairs = std::move(pairs);
+    model.subcarriers = std::move(subcarriers);
+    model.class_names = {"A", "B"};
+    model.scaler.fit(data);
+    model.svm.train(model.scaler.transform(data));
+    model.validate();
+    return model;
 }
 
 }  // namespace wimi::testutil

@@ -79,6 +79,22 @@ TEST(RatioStability, CommonModeGainCancels) {
               100.0 * common_var + 1e-4);
 }
 
+TEST(RatioStability, SkipsZeroAmplitudeDenominatorFrames) {
+    // A quantized capture can hold a frame whose second antenna reads
+    // exactly zero at subcarrier 0; the probe must drop that frame and
+    // report the stability of the rest rather than throw.
+    const auto clean = synthetic_series({1.0, 2.0}, {0.0, 0.0}, 40,
+                                        /*amp_noise=*/0.05, 0.0, 31);
+    auto holed = clean;
+    holed.frames[7].at(1, 0) = {0.0, 0.0};
+    auto remaining = clean;
+    remaining.frames.erase(remaining.frames.begin() + 7);
+
+    const double expected = amplitude_ratio_stability(remaining, 0, 1, 0);
+    EXPECT_GT(expected, 0.0);
+    EXPECT_EQ(amplitude_ratio_stability(holed, 0, 1, 0), expected);
+}
+
 TEST(RecordSignalQuality, PopulatesRegistryWhenEnabled) {
 #if defined(WIMI_OBS_DISABLED)
     GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)";

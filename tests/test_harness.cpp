@@ -75,7 +75,7 @@ TEST(Harness, EvaluateDatasetConsistentWithConfusion) {
 
 TEST(Harness, KnnBackendRuns) {
     auto config = small_experiment();
-    config.wimi.classifier = core::ClassifierKind::kKnn;
+    config.classifier = ClassifierKind::kKnn;
     const auto result = run_identification_experiment(config);
     EXPECT_GE(result.accuracy, 0.9);
 }
@@ -97,6 +97,16 @@ TEST(Harness, SerializeConfigIsStableAndCoversResultFields) {
     rethreaded.threads = 4;
     EXPECT_EQ(obs::config_digest(a),
               obs::config_digest(serialize_config(rethreaded)));
+}
+
+TEST(Harness, ConfigDigestsArePinned) {
+    // wimi.run.v1 ledgers compare runs by this digest, so moving a field
+    // to another struct must not move it.
+    ExperimentConfig knn;
+    knn.classifier = ClassifierKind::kKnn;
+    EXPECT_EQ(obs::config_digest(serialize_config(ExperimentConfig{})),
+              "11a0d435");
+    EXPECT_EQ(obs::config_digest(serialize_config(knn)), "643f12a8");
 }
 
 TEST(Harness, ExperimentAppendsRunManifestToLedger) {

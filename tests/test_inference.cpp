@@ -33,8 +33,8 @@ sim::ExperimentConfig small_config(std::uint64_t seed) {
     return config;
 }
 
-const TrainedModel& trained_model() {
-    static const TrainedModel model =
+const core::Model& trained_model() {
+    static const core::Model model =
         sim::train_experiment_model(small_config(7));
     return model;
 }
@@ -42,10 +42,6 @@ const TrainedModel& trained_model() {
 TEST(Inference, SnapshotRequiresTrainedSvm) {
     core::Wimi untrained;
     EXPECT_THROW(snapshot_model(untrained), Error);
-    core::WimiConfig knn_config;
-    knn_config.classifier = core::ClassifierKind::kKnn;
-    core::Wimi knn(knn_config);
-    EXPECT_THROW(snapshot_model(knn), Error);
 }
 
 TEST(Inference, PredictsCapturedMeasurements) {
@@ -107,8 +103,8 @@ TEST(Inference, CacheSharesOneEngine) {
 
 /// A second artifact with different bytes than trained_model(): fewer
 /// liquids trains fast and guarantees a different digest.
-const TrainedModel& alternate_model() {
-    static const TrainedModel model = [] {
+const core::Model& alternate_model() {
+    static const core::Model model = [] {
         sim::ExperimentConfig config = small_config(15);
         config.liquids = {rf::Liquid::kPureWater, rf::Liquid::kMilk,
                           rf::Liquid::kHoney};
@@ -249,8 +245,8 @@ TEST(Inference, RejectsMalformedInputs) {
                                      0.0);
     EXPECT_THROW(engine.predict_features(narrow), Error);
     // Class id outside the model.
-    EXPECT_THROW(engine.class_name(-1), Error);
-    EXPECT_THROW(engine.class_name(1000), Error);
+    EXPECT_THROW(engine.model().class_name(-1), Error);
+    EXPECT_THROW(engine.model().class_name(1000), Error);
 }
 
 TEST(Inference, MismatchedLiquidSetRejected) {
@@ -276,7 +272,7 @@ TEST_P(InferenceEnvironment, RoundTripPredictsBitIdentically) {
     config.liquids = {rf::Liquid::kPureWater, rf::Liquid::kMilk,
                       rf::Liquid::kHoney};
     config.repetitions = 4;
-    const TrainedModel model = sim::train_experiment_model(config);
+    const core::Model model = sim::train_experiment_model(config);
 
     const auto path = std::filesystem::temp_directory_path() /
                       "wimi_inference_env_roundtrip.wmdl";

@@ -22,7 +22,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "serve/model.hpp"
+#include "core/model.hpp"
 #include "trace_fault_util.hpp"
 
 namespace wimi::serve {
@@ -33,7 +33,7 @@ constexpr std::size_t kHeaderBytes = 28;
 /// A small but fully structured model: 2 pairs x 2 subcarriers = width
 /// 4, three classes (3 pairwise machines), RBF-trained on a separable
 /// synthetic dataset.
-TrainedModel make_test_model() {
+core::Model make_test_model() {
     Rng rng(5);
     ml::Dataset data(4);
     for (int cls = 0; cls < 3; ++cls) {
@@ -45,7 +45,7 @@ TrainedModel make_test_model() {
             data.add(row, cls);
         }
     }
-    TrainedModel model;
+    core::Model model;
     model.pairs = {{0, 1}, {1, 2}};
     model.subcarriers = {3, 9};
     model.class_names = {"Milk", "Honey", "Oil"};
@@ -56,14 +56,14 @@ TrainedModel make_test_model() {
     return model;
 }
 
-std::string serialize(const TrainedModel& model) {
+std::string serialize(const core::Model& model) {
     std::ostringstream out;
     save_model(out, model);
     return out.str();
 }
 
-TrainedModel load_bytes(const std::string& bytes,
-                        ModelInfo* info = nullptr) {
+core::Model load_bytes(const std::string& bytes,
+                       ModelInfo* info = nullptr) {
     std::istringstream in(bytes);
     return load_model(in, info);
 }
@@ -113,9 +113,9 @@ void expect_rejected(const std::string& bytes) {
 }
 
 TEST(ModelIo, RoundTripIsBitExact) {
-    const TrainedModel model = make_test_model();
+    const core::Model model = make_test_model();
     ModelInfo info;
-    const TrainedModel loaded = load_bytes(serialize(model), &info);
+    const core::Model loaded = load_bytes(serialize(model), &info);
 
     EXPECT_EQ(loaded.class_names, model.class_names);
     ASSERT_EQ(loaded.pairs.size(), model.pairs.size());
@@ -177,17 +177,17 @@ TEST(ModelIo, RoundTripIsBitExact) {
 }
 
 TEST(ModelIo, SaveIsDeterministic) {
-    const TrainedModel model = make_test_model();
+    const core::Model model = make_test_model();
     EXPECT_EQ(serialize(model), serialize(model));
 }
 
 TEST(ModelIo, FileRoundTripAndDigest) {
-    const TrainedModel model = make_test_model();
+    const core::Model model = make_test_model();
     const auto path =
         std::filesystem::temp_directory_path() / "wimi_model_io_test.wmdl";
     save_model_file(path, model);
     ModelInfo info;
-    const TrainedModel loaded = load_model_file(path, &info);
+    const core::Model loaded = load_model_file(path, &info);
     EXPECT_EQ(loaded.class_names, model.class_names);
     // The standalone digest helper agrees with the loader's.
     EXPECT_EQ(model_file_digest(path), info.digest);
@@ -351,7 +351,7 @@ TEST(ModelIo, EmptyAndGarbageStreamsRejected) {
 }
 
 TEST(ModelIo, SaveRejectsInconsistentModel) {
-    TrainedModel model = make_test_model();
+    core::Model model = make_test_model();
     model.subcarriers.push_back(17);  // width no longer matches scaler
     std::ostringstream out;
     EXPECT_THROW(save_model(out, model), Error);

@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -120,14 +119,14 @@ TEST(StreamMemory, LongTraceStreamsInWindowMemory) {
     stream::StreamConfig config;
     config.window = kWindow;
     config.hop = kWindow;
+    const core::Model model =
+        testutil::tiny_model({{0, 1}, {1, 2}}, {0, 1, 2, 3});
     stream::StreamingPipeline pipeline(
         config,
         core::WindowFeatureExtractor(std::move(baseline),
                                      {{0, 1}, {1, 2}}, {0, 1, 2, 3},
                                      core::FeatureConfig{}),
-        [](std::span<const double>) {
-            return std::pair<int, std::string>(0, "A");
-        });
+        model);
     EXPECT_EQ(pipeline.ring().capacity(), kWindow);
 
     std::uint64_t windows = 0;

@@ -94,7 +94,7 @@ TEST(StreamParity, FullWindowIsBitIdenticalToBatch) {
         config.hop = 0;
         stream::StreamingPipeline pipeline(
             config, core::make_window_extractor(wimi, pair.baseline),
-            stream::make_classifier(wimi));
+            wimi.model());
 
         const std::vector<stream::WindowResult> windows =
             feed(pipeline, pair.target);
@@ -126,7 +126,7 @@ TEST(StreamParity, FullWindowEmitsNothingAfterTheSingleShot) {
     config.hop = 0;
     stream::StreamingPipeline pipeline(
         config, core::make_window_extractor(wimi, pair.baseline),
-        stream::make_classifier(wimi));
+        wimi.model());
 
     feed(pipeline, pair.target);
     // Keep pushing: hop 0 is single-shot, nothing more may come out.
@@ -152,7 +152,7 @@ TEST(StreamParity, SlidingWindowsMatchBatchOnEachSubseries) {
     config.hop = kHop;
     stream::StreamingPipeline pipeline(
         config, core::make_window_extractor(wimi, pair.baseline),
-        stream::make_classifier(wimi));
+        wimi.model());
 
     const std::vector<stream::WindowResult> windows =
         feed(pipeline, pair.target);
@@ -198,7 +198,7 @@ TEST(StreamParity, SteadyStreamAgreesWithWholeTraceVerdict) {
     config.hop = 4;
     stream::StreamingPipeline pipeline(
         config, core::make_window_extractor(wimi, pair.baseline),
-        stream::make_classifier(wimi));
+        wimi.model());
     const std::vector<stream::WindowResult> windows =
         feed(pipeline, pair.target);
 
@@ -221,7 +221,7 @@ TEST(StreamParity, ResetReproducesTheStreamBitForBit) {
     config.hop = 4;
     stream::StreamingPipeline pipeline(
         config, core::make_window_extractor(wimi, pair.baseline),
-        stream::make_classifier(wimi));
+        wimi.model());
 
     const std::vector<stream::WindowResult> first =
         feed(pipeline, pair.target);
@@ -268,7 +268,7 @@ TEST(StreamParity, DriftedStreamCannotFabricateChangeEvents) {
     config.psi.threshold = 0.25;
     stream::StreamingPipeline pipeline(
         config, core::make_window_extractor(wimi, pair.baseline),
-        stream::make_classifier(wimi), ml::make_psi_reference(far, 4));
+        wimi.model(), ml::make_psi_reference(far, 4));
 
     const std::vector<stream::WindowResult> windows =
         feed(pipeline, pair.target);

@@ -11,7 +11,6 @@
 #include <deque>
 #include <limits>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -204,14 +203,11 @@ core::WindowFeatureExtractor small_extractor() {
 
 stream::StreamingPipeline small_pipeline(std::size_t window,
                                          std::size_t hop) {
+    static const core::Model model = testutil::tiny_model({{0, 1}}, {0, 1, 2});
     stream::StreamConfig config;
     config.window = window;
     config.hop = hop;
-    return stream::StreamingPipeline(
-        config, small_extractor(),
-        [](std::span<const double>) {
-            return std::pair<int, std::string>(0, "A");
-        });
+    return stream::StreamingPipeline(config, small_extractor(), model);
 }
 
 /// Runs the read-then-stream path over `bytes` under `policy`.

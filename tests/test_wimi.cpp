@@ -101,31 +101,8 @@ TEST(Wimi, EndToEndIdentification) {
                 scenario.capture_measurement(liquid, rng.next_u64());
             const auto result = wimi.identify(m.baseline, m.target);
             EXPECT_EQ(result.material_name, rf::liquid_name(liquid));
-            EXPECT_EQ(result.features.size(), 12u);
         }
     }
-}
-
-TEST(Wimi, KnnBackendWorksToo) {
-    const auto scenario = lab_scenario();
-    WimiConfig config;
-    config.classifier = ClassifierKind::kKnn;
-    config.knn_k = 3;
-    Wimi wimi(config);
-    wimi.calibrate(scenario.capture_reference(106));
-    Rng rng(6);
-    for (const rf::Liquid liquid :
-         {rf::Liquid::kPureWater, rf::Liquid::kHoney}) {
-        for (int rep = 0; rep < 4; ++rep) {
-            const auto m =
-                scenario.capture_measurement(liquid, rng.next_u64());
-            wimi.enroll(rf::liquid_name(liquid), m.baseline, m.target);
-        }
-    }
-    wimi.train();
-    const auto m =
-        scenario.capture_measurement(rf::Liquid::kHoney, rng.next_u64());
-    EXPECT_EQ(wimi.identify(m.baseline, m.target).material_name, "Honey");
 }
 
 TEST(Wimi, EnrollFeaturesDirectly) {
@@ -136,7 +113,7 @@ TEST(Wimi, EnrollFeaturesDirectly) {
     wimi.enroll_features("B", std::vector<double>{0.9, 1.1});
     wimi.train();
     const auto result =
-        wimi.identify_features(std::vector<double>{0.95, 1.0});
+        wimi.model().classify(std::vector<double>{0.95, 1.0});
     EXPECT_EQ(result.material_name, "B");
 }
 
@@ -157,17 +134,8 @@ TEST(Wimi, TrainTunedSelectsHyperparameters) {
     EXPECT_GE(cv, 0.9);
     EXPECT_TRUE(wimi.trained());
     EXPECT_EQ(
-        wimi.identify_features(std::vector<double>{3.1, 0.1}).material_name,
+        wimi.model().classify(std::vector<double>{3.1, 0.1}).material_name,
         "B");
-}
-
-TEST(Wimi, TrainTunedRejectsKnnBackend) {
-    WimiConfig config;
-    config.classifier = ClassifierKind::kKnn;
-    Wimi wimi(config);
-    wimi.enroll_features("A", std::vector<double>{0.0});
-    wimi.enroll_features("B", std::vector<double>{1.0});
-    EXPECT_THROW(wimi.train_tuned(), Error);
 }
 
 TEST(Wimi, TrainRequiresTwoMaterials) {
@@ -184,6 +152,21 @@ TEST(Wimi, EnrollInvalidatesTraining) {
     EXPECT_TRUE(wimi.trained());
     wimi.enroll_features("C", std::vector<double>{2.0});
     EXPECT_FALSE(wimi.trained());
+}
+
+TEST(Wimi, ModelReferenceSurvivesRetraining) {
+    Wimi wimi;
+    EXPECT_THROW(wimi.model(), Error);
+    wimi.enroll_features("A", std::vector<double>{0.0});
+    wimi.enroll_features("B", std::vector<double>{1.0});
+    wimi.train();
+    const Model& model = wimi.model();
+    wimi.enroll_features("C", std::vector<double>{2.0});
+    EXPECT_THROW(wimi.model(), Error);
+    wimi.train();
+    // A pipeline holding `model` sees the retrained state.
+    EXPECT_EQ(&wimi.model(), &model);
+    EXPECT_EQ(model.classify(std::vector<double>{2.1}).material_name, "C");
 }
 
 TEST(Wimi, ConfigValidation) {

@@ -472,7 +472,7 @@ int cmd_stream(const std::string& target_path, const StreamArgs& args) {
         args.model.empty()
             ? serve::InferenceEngine(sim::train_experiment_model({}))
             : serve::InferenceEngine::load(args.model);
-    const serve::TrainedModel& model = engine.model();
+    const core::Model& model = engine.model();
 
     stream::StreamConfig config;
     config.window = args.window;
@@ -485,12 +485,7 @@ int cmd_stream(const std::string& target_path, const StreamArgs& args) {
         config,
         core::WindowFeatureExtractor(baseline, model.pairs,
                                      model.subcarriers, model.feature),
-        [&engine](std::span<const double> features) {
-            serve::Prediction p = engine.predict_features(features);
-            return std::make_pair(p.material_id,
-                                  std::move(p.material_name));
-        },
-        std::move(psi_ref));
+        model, std::move(psi_ref));
 
     const auto emit = [](const stream::WindowResult& r) {
         std::cout << "window " << r.window_index << "  frames ["

@@ -242,7 +242,7 @@ int cmd_train(const std::string& path, const Options& options) {
     const sim::ExperimentConfig config = make_config(options, options.seed);
     run.set_config(sim::serialize_config(config));
 
-    const serve::TrainedModel model = sim::train_experiment_model(config);
+    const core::Model model = sim::train_experiment_model(config);
     serve::save_model_file(path, model);
     const std::string digest = serve::model_file_digest(path);
     std::cout << "trained " << model.class_names.size() << "-class model ("
@@ -273,7 +273,7 @@ int cmd_train(const std::string& path, const Options& options) {
 
 int cmd_info(const std::string& path) {
     serve::ModelInfo info;
-    const serve::TrainedModel model = serve::load_model_file(path, &info);
+    const core::Model model = serve::load_model_file(path, &info);
     std::cout << path << ":\n"
               << "  format:          wimi.model.v" << info.version << '\n'
               << "  size:            " << info.file_bytes << " bytes\n"
