@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -142,24 +144,20 @@ int estimate_gamma(double delta_theta_rad, double delta_psi,
 namespace {
 
 /// Eq. 18/19: the wrapped phase-difference change and amplitude-ratio
-/// change for one pair and subcarrier (gamma and Omega not yet filled in).
-MaterialMeasurement raw_measurement(const csi::CsiSoa& baseline,
+/// change of one pair and subcarrier against the baseline's stable ratio
+/// (gamma and Omega not yet filled in).
+MaterialMeasurement raw_measurement(Complex ratio_baseline,
                                     const csi::CsiSoa& target,
                                     AntennaPair pair,
                                     std::size_t subcarrier,
                                     const FeatureConfig& config) {
     MaterialMeasurement m;
-    // Stable antenna ratio of each capture (Fig. 14 ablation: without
-    // amplitude denoising, neither the outlier gate nor the impulse
-    // removal runs).
+    // Stable antenna ratio of the target, cleaned like the baseline's
+    // (Fig. 14 ablation: without amplitude denoising, neither the outlier
+    // gate nor the impulse removal runs).
     const Complex ratio_target =
         mean_complex_ratio(target, pair, subcarrier, config.denoise,
                            config.use_amplitude_denoising);
-    const Complex ratio_baseline =
-        mean_complex_ratio(baseline, pair, subcarrier, config.denoise,
-                           config.use_amplitude_denoising);
-    ensure(std::abs(ratio_baseline) > 0.0,
-           "measure_material: zero baseline antenna ratio");
 
     // Eq. 18: change of the calibrated phase difference.
     m.delta_theta_rad =
@@ -189,48 +187,18 @@ void finish_measurement(MaterialMeasurement& m, int gamma,
               (denom * denom + ridge * ridge);
 }
 
-void check_series(const csi::CsiSoa& baseline, const csi::CsiSoa& target) {
-    ensure(baseline.packet_count() > 0 && target.packet_count() > 0,
-           "measure_material: baseline and target must be non-empty");
-    ensure(baseline.antenna_count() == target.antenna_count() &&
-               baseline.subcarrier_count() == target.subcarrier_count(),
-           "measure_material: series dimensions differ");
-}
-
-}  // namespace
-
-MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
-                                     const csi::CsiSeries& target,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier,
-                                     const FeatureConfig& config) {
-    ensure(!baseline.empty() && !target.empty(),
-           "measure_material: baseline and target must be non-empty");
-    const csi::CsiSoa baseline_soa(baseline);
-    const csi::CsiSoa target_soa(target);
-    check_series(baseline_soa, target_soa);
-    MaterialMeasurement m =
-        raw_measurement(baseline_soa, target_soa, pair, subcarrier, config);
-    finish_measurement(
-        m, estimate_gamma(m.delta_theta_rad, m.delta_psi, config.gamma),
-        config);
-    return m;
-}
-
-std::vector<MaterialMeasurement> measure_material_pairs(
-    const csi::CsiSoa& baseline, const csi::CsiSoa& target,
-    const std::vector<AntennaPair>& pairs, std::size_t subcarrier,
-    const FeatureConfig& config) {
-    ensure(!pairs.empty(), "measure_material_pairs: need >= 1 pair");
-    check_series(baseline, target);
-
-    std::vector<MaterialMeasurement> out;
-    out.reserve(pairs.size());
-
+/// Appends one measurement per pair at one subcarrier, with cross-pair
+/// wrap recovery (see measure_material_pairs). `baseline_ratios` holds
+/// the baseline's stable ratio of each pair, in `pairs` order.
+void measure_subcarrier(std::span<const Complex> baseline_ratios,
+                        const csi::CsiSoa& target,
+                        const std::vector<AntennaPair>& pairs,
+                        std::size_t subcarrier, const FeatureConfig& config,
+                        std::vector<MaterialMeasurement>& out) {
     // Reference pair: assumed wrap-free (the deployment's closest pair);
     // its gamma comes from the admissible-range search of Sec. III-E.
-    MaterialMeasurement ref =
-        raw_measurement(baseline, target, pairs.front(), subcarrier, config);
+    MaterialMeasurement ref = raw_measurement(
+        baseline_ratios[0], target, pairs.front(), subcarrier, config);
     finish_measurement(
         ref, estimate_gamma(ref.delta_theta_rad, ref.delta_psi, config.gamma),
         config);
@@ -240,8 +208,8 @@ std::vector<MaterialMeasurement> measure_material_pairs(
     out.push_back(ref);
 
     for (std::size_t p = 1; p < pairs.size(); ++p) {
-        MaterialMeasurement m =
-            raw_measurement(baseline, target, pairs[p], subcarrier, config);
+        MaterialMeasurement m = raw_measurement(baseline_ratios[p], target,
+                                                pairs[p], subcarrier, config);
         // Coarse-amplitude wrap recovery: the log amplitude-ratio changes
         // of two pairs scale with their in-target path differences
         // regardless of the material, so their ratio predicts this pair's
@@ -261,7 +229,62 @@ std::vector<MaterialMeasurement> measure_material_pairs(
         finish_measurement(m, gamma, config);
         out.push_back(m);
     }
+}
+
+}  // namespace
+
+BaselineReference::BaselineReference(const csi::CsiSoa& baseline,
+                                     std::vector<AntennaPair> pairs,
+                                     std::vector<std::size_t> subcarriers,
+                                     FeatureConfig config)
+    : antenna_count_(baseline.antenna_count()),
+      subcarrier_count_(baseline.subcarrier_count()),
+      pairs_(std::move(pairs)),
+      subcarriers_(std::move(subcarriers)),
+      config_(config) {
+    ensure(!pairs_.empty(), "BaselineReference: need >= 1 antenna pair");
+    ensure(!subcarriers_.empty(), "BaselineReference: need >= 1 subcarrier");
+    WIMI_OBS_COUNT("feature.baseline_references", 1);
+    ratios_.reserve(subcarriers_.size() * pairs_.size());
+    for (const std::size_t sc : subcarriers_) {
+        for (const AntennaPair pair : pairs_) {
+            const Complex ratio =
+                mean_complex_ratio(baseline, pair, sc, config_.denoise,
+                                   config_.use_amplitude_denoising);
+            // Every target measured against a zero or non-finite ratio
+            // would fail (Eq. 19 divides by it); fail here, once.
+            const double magnitude = std::abs(ratio);
+            ensure(std::isfinite(magnitude) && magnitude > 0.0,
+                   "BaselineReference: zero or non-finite baseline antenna "
+                   "ratio");
+            ratios_.push_back(ratio);
+        }
+    }
+}
+
+std::vector<MaterialMeasurement> BaselineReference::measure(
+    const csi::CsiSoa& target) const {
+    ensure(target.antenna_count() == antenna_count_ &&
+               target.subcarrier_count() == subcarrier_count_,
+           "BaselineReference: target dimensions differ from the baseline's");
+    std::vector<MaterialMeasurement> out;
+    out.reserve(ratios_.size());
+    const std::span<const Complex> ratios(ratios_);
+    for (std::size_t i = 0; i < subcarriers_.size(); ++i) {
+        measure_subcarrier(ratios.subspan(i * pairs_.size(), pairs_.size()),
+                           target, pairs_, subcarriers_[i], config_, out);
+    }
     return out;
+}
+
+MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
+                                     const csi::CsiSeries& target,
+                                     AntennaPair pair,
+                                     std::size_t subcarrier,
+                                     const FeatureConfig& config) {
+    return measure_material_pairs(baseline, target, {pair}, subcarrier,
+                                  config)
+        .front();
 }
 
 std::vector<MaterialMeasurement> measure_material_pairs(
@@ -270,9 +293,22 @@ std::vector<MaterialMeasurement> measure_material_pairs(
     const FeatureConfig& config) {
     ensure(!baseline.empty() && !target.empty(),
            "measure_material: baseline and target must be non-empty");
-    return measure_material_pairs(csi::CsiSoa(baseline),
-                                  csi::CsiSoa(target), pairs, subcarrier,
-                                  config);
+    return BaselineReference(csi::CsiSoa(baseline), pairs, {subcarrier},
+                             config)
+        .measure(csi::CsiSoa(target));
+}
+
+std::vector<double> extract_feature_vector(const BaselineReference& baseline,
+                                           const csi::CsiSoa& target) {
+    WIMI_OBS_COUNT("feature.vectors_extracted", 1);
+    const std::vector<MaterialMeasurement> measurements =
+        baseline.measure(target);
+    std::vector<double> features;
+    features.reserve(measurements.size());
+    for (const MaterialMeasurement& m : measurements) {
+        features.push_back(m.omega);
+    }
+    return features;
 }
 
 std::vector<double> extract_feature_vector(
@@ -280,20 +316,9 @@ std::vector<double> extract_feature_vector(
     const std::vector<AntennaPair>& pairs,
     const std::vector<std::size_t>& subcarriers,
     const FeatureConfig& config) {
-    ensure(!pairs.empty(), "extract_feature_vector: need >= 1 antenna pair");
-    ensure(!subcarriers.empty(),
-           "extract_feature_vector: need >= 1 subcarrier");
     WIMI_TRACE_SPAN("feature.extract");
-    WIMI_OBS_COUNT("feature.vectors_extracted", 1);
-    std::vector<double> features;
-    features.reserve(pairs.size() * subcarriers.size());
-    for (const std::size_t sc : subcarriers) {
-        for (const MaterialMeasurement& m :
-             measure_material_pairs(baseline, target, pairs, sc, config)) {
-            features.push_back(m.omega);
-        }
-    }
-    return features;
+    return extract_feature_vector(
+        BaselineReference(baseline, pairs, subcarriers, config), target);
 }
 
 std::vector<double> extract_feature_vector(

@@ -75,6 +75,46 @@ struct FeatureConfig {
 int estimate_gamma(double delta_theta_rad, double delta_psi,
                    const GammaConfig& config);
 
+/// Baseline half of the material feature: the stable complex antenna
+/// ratio of the baseline (empty-beaker) capture at every selected
+/// (subcarrier, pair), subcarrier-major like the feature vector, after
+/// the 3-sigma gate and wavelet denoising of Sec. III-C/D. It depends on
+/// the baseline alone, so a stream that checks every window against one
+/// fixed baseline builds it once (WindowFeatureExtractor). Immutable once
+/// built, so concurrent measure() calls are safe.
+class BaselineReference {
+public:
+    /// Cleans and averages the baseline's antenna ratios and bumps the
+    /// `feature.baseline_references` counter. Throws on empty pairs or
+    /// subcarriers, on a pair or subcarrier outside the baseline's
+    /// geometry, and on a ratio that is zero or non-finite (a non-finite
+    /// sample, or a reference antenna reading zero on every packet).
+    BaselineReference(const csi::CsiSoa& baseline,
+                      std::vector<AntennaPair> pairs,
+                      std::vector<std::size_t> subcarriers,
+                      FeatureConfig config);
+
+    /// Target half: every (subcarrier, pair) measurement of `target`
+    /// against this baseline, subcarrier-major, with cross-pair wrap
+    /// recovery per subcarrier (see measure_material_pairs). Throws
+    /// unless `target` has the baseline's antenna and subcarrier counts.
+    std::vector<MaterialMeasurement> measure(const csi::CsiSoa& target) const;
+
+    const std::vector<AntennaPair>& pairs() const { return pairs_; }
+    const std::vector<std::size_t>& subcarriers() const {
+        return subcarriers_;
+    }
+    const FeatureConfig& config() const { return config_; }
+
+private:
+    std::size_t antenna_count_ = 0;
+    std::size_t subcarrier_count_ = 0;
+    std::vector<AntennaPair> pairs_;
+    std::vector<std::size_t> subcarriers_;
+    FeatureConfig config_;
+    std::vector<Complex> ratios_;  ///< subcarriers x pairs, pair-minor
+};
+
 /// Computes the measurement for one antenna pair and subcarrier.
 /// Both series must share dimensions; requires >= 1 packet each.
 MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
@@ -98,14 +138,6 @@ std::vector<MaterialMeasurement> measure_material_pairs(
     const std::vector<AntennaPair>& pairs, std::size_t subcarrier,
     const FeatureConfig& config);
 
-/// SoA variant: the series-based overloads build a CsiSoa per call;
-/// callers measuring several subcarriers/pairs should build the SoA once
-/// and use this one so amplitude planes are computed and cached once.
-std::vector<MaterialMeasurement> measure_material_pairs(
-    const csi::CsiSoa& baseline, const csi::CsiSoa& target,
-    const std::vector<AntennaPair>& pairs, std::size_t subcarrier,
-    const FeatureConfig& config);
-
 /// Feature vector for the classifier: Omega for every (subcarrier, pair)
 /// combination, subcarrier-major, with cross-pair wrap recovery applied
 /// per subcarrier (pairs[0] is the wrap-free reference pair). This is the
@@ -115,10 +147,16 @@ std::vector<double> extract_feature_vector(
     const std::vector<AntennaPair>& pairs,
     const std::vector<std::size_t>& subcarriers, const FeatureConfig& config);
 
-/// SoA variant of extract_feature_vector (see measure_material_pairs).
+/// SoA variant: builds the BaselineReference, then applies the target
+/// half below. Every batch, serving and streaming feature goes through
+/// these two halves.
 std::vector<double> extract_feature_vector(
     const csi::CsiSoa& baseline, const csi::CsiSoa& target,
     const std::vector<AntennaPair>& pairs,
     const std::vector<std::size_t>& subcarriers, const FeatureConfig& config);
+
+/// Target half: the Omega of every baseline.measure(target) entry.
+std::vector<double> extract_feature_vector(const BaselineReference& baseline,
+                                           const csi::CsiSoa& target);
 
 }  // namespace wimi::core

@@ -1,41 +1,35 @@
 #include "core/streaming_feature.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/wimi.hpp"
+#include "csi/soa.hpp"
+#include "obs/obs.hpp"
 
 namespace wimi::core {
 
 WindowFeatureExtractor::WindowFeatureExtractor(
-    csi::CsiSeries baseline, std::vector<AntennaPair> pairs,
+    const csi::CsiSeries& baseline, std::vector<AntennaPair> pairs,
     std::vector<std::size_t> subcarriers, FeatureConfig config)
-    : baseline_(std::move(baseline)),
-      baseline_soa_(baseline_),
-      pairs_(std::move(pairs)),
-      subcarriers_(std::move(subcarriers)),
-      config_(config) {
-    ensure(!baseline_.empty(),
-           "WindowFeatureExtractor: baseline must have >= 1 packet");
-    ensure(!pairs_.empty(), "WindowFeatureExtractor: need >= 1 antenna pair");
-    ensure(!subcarriers_.empty(),
-           "WindowFeatureExtractor: need >= 1 subcarrier");
-}
+    : reference_(csi::CsiSoa(baseline), std::move(pairs),
+                 std::move(subcarriers), config) {}
 
 std::vector<double> WindowFeatureExtractor::extract(
     const csi::CsiSeries& window) const {
-    // Same two-SoA shape as the series overload of extract_feature_vector,
-    // with the baseline side cached: bit-identical output.
-    return extract_feature_vector(baseline_soa_, csi::CsiSoa(window), pairs_,
-                                  subcarriers_, config_);
+    const csi::CsiSoa window_soa(window);
+    // Spans the same work as the batch SoA overload's span, less the
+    // baseline half that was built once in the constructor.
+    WIMI_TRACE_SPAN("feature.extract");
+    return extract_feature_vector(reference_, window_soa);
 }
 
 WindowFeatureExtractor make_window_extractor(const Wimi& wimi,
-                                             csi::CsiSeries baseline) {
+                                             const csi::CsiSeries& baseline) {
     ensure(wimi.calibrated(),
            "make_window_extractor: Wimi instance is not calibrated");
-    return WindowFeatureExtractor(std::move(baseline), wimi.pairs(),
-                                  wimi.subcarriers(),
+    return WindowFeatureExtractor(baseline, wimi.pairs(), wimi.subcarriers(),
                                   wimi.config().feature);
 }
 

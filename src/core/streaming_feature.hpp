@@ -5,13 +5,17 @@
 // baseline against a different target window every hop, so two pieces of
 // state are worth keeping across windows:
 //
-//   * WindowFeatureExtractor — the baseline's structure-of-arrays
-//     transpose (and its lazily cached amplitude planes) is built once
-//     and reused for every window. Per window only the target SoA is
-//     built. Numeric contract: extract() is bit-identical to
-//     core::extract_feature_vector(baseline, window, ...) — the series
-//     overload builds exactly these two SoAs per call — and therefore to
-//     Wimi::features on the same inputs.
+//   * WindowFeatureExtractor — the baseline half of the material feature
+//     (core::BaselineReference: the 3-sigma-gated, wavelet-denoised
+//     stable antenna ratio at every selected subcarrier and pair) is
+//     built once, at construction, and reused for every window. Per
+//     window only the target SoA and the target half are computed.
+//     Numeric contract: extract() is bit-identical to
+//     core::extract_feature_vector(baseline, window, ...) — that call
+//     builds the same BaselineReference from the same baseline SoA and
+//     applies the same target half — and therefore to Wimi::features on
+//     the same inputs. The cached ratios use the SIMD mode in effect at
+//     construction, as a lazily cached baseline amplitude plane would.
 //
 //   * RunningPhaseCalibration — O(1)-per-packet circular accumulator for
 //     a phase-difference stream (sum of unit phasors). The windowed
@@ -32,42 +36,41 @@
 #include "core/material_feature.hpp"
 #include "core/phase_calibration.hpp"
 #include "csi/frame.hpp"
-#include "csi/soa.hpp"
 
 namespace wimi::core {
 
 class Wimi;
 
-/// Fixed-baseline, per-window feature extraction with the baseline SoA
-/// cached across windows.
+/// Fixed-baseline, per-window feature extraction with the baseline half
+/// of the feature built once.
 class WindowFeatureExtractor {
 public:
-    /// Copies `baseline` (the stream outlives any caller scope) and
-    /// transposes it once. Throws on an empty baseline or empty
-    /// pairs/subcarriers.
-    WindowFeatureExtractor(csi::CsiSeries baseline,
+    /// Builds the baseline half from `baseline` (not kept). Throws on an
+    /// empty baseline and wherever BaselineReference throws: empty or
+    /// out-of-geometry pairs/subcarriers, or a baseline whose stable
+    /// ratio is zero or non-finite — so a baseline that cannot serve the
+    /// model fails here, not at every window.
+    WindowFeatureExtractor(const csi::CsiSeries& baseline,
                            std::vector<AntennaPair> pairs,
                            std::vector<std::size_t> subcarriers,
                            FeatureConfig config);
 
     /// Feature vector for one target window — bit-identical to the batch
     /// extract_feature_vector(baseline, window, pairs, subcarriers,
-    /// config) call on the same frames.
+    /// config) call on the same frames. Throws unless the window has the
+    /// baseline's antenna and subcarrier counts.
     std::vector<double> extract(const csi::CsiSeries& window) const;
 
-    const std::vector<AntennaPair>& pairs() const { return pairs_; }
-    const std::vector<std::size_t>& subcarriers() const {
-        return subcarriers_;
+    const std::vector<AntennaPair>& pairs() const {
+        return reference_.pairs();
     }
-    const FeatureConfig& config() const { return config_; }
-    const csi::CsiSeries& baseline() const { return baseline_; }
+    const std::vector<std::size_t>& subcarriers() const {
+        return reference_.subcarriers();
+    }
+    const FeatureConfig& config() const { return reference_.config(); }
 
 private:
-    csi::CsiSeries baseline_;
-    csi::CsiSoa baseline_soa_;
-    std::vector<AntennaPair> pairs_;
-    std::vector<std::size_t> subcarriers_;
-    FeatureConfig config_;
+    BaselineReference reference_;
 };
 
 /// Builds an extractor from a calibrated Wimi instance: same pairs,
@@ -75,7 +78,7 @@ private:
 /// so streaming decisions match batch decisions. Throws unless
 /// wimi.calibrated().
 WindowFeatureExtractor make_window_extractor(const Wimi& wimi,
-                                             csi::CsiSeries baseline);
+                                             const csi::CsiSeries& baseline);
 
 /// O(1)-per-sample circular statistics over an angle stream (phase
 /// differences): unit-phasor sum with count.

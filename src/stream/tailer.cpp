@@ -147,9 +147,8 @@ TraceTailer::Pull TraceTailer::pull_one(csi::CsiFrame& out) {
     }
     switch (config_.policy) {
         case csi::ReadPolicy::kStrict:
-            ensure(false, "TraceTailer: corrupt frame record " +
-                              std::to_string(consumed_) + " in " +
-                              path_.string());
+            fail("TraceTailer: corrupt frame record " +
+                 std::to_string(consumed_) + " in " + path_.string());
         case csi::ReadPolicy::kSkipCorrupt:
             ++consumed_;
             ++skipped_;

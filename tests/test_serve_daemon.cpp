@@ -60,9 +60,13 @@ struct ServeFixture {
     std::size_t feature_width = 0;
 
     ServeFixture() {
+        // Per-process names: ctest runs each test case in its own
+        // process, in parallel under -j, and a shared path lets one
+        // process load a model file another is still writing.
         const auto dir = std::filesystem::temp_directory_path();
-        model_a = dir / "wimi_serve_test_a.wmdl";
-        model_b = dir / "wimi_serve_test_b.wmdl";
+        const std::string pid = std::to_string(::getpid());
+        model_a = dir / ("wimi_serve_test_a." + pid + ".wmdl");
+        model_b = dir / ("wimi_serve_test_b." + pid + ".wmdl");
         save_model_file(model_a,
                         sim::train_experiment_model(tiny_config(7)));
         save_model_file(model_b,
@@ -72,6 +76,15 @@ struct ServeFixture {
         feature_width =
             InferenceEngine::load(model_a).model().feature_width();
     }
+
+    ~ServeFixture() {
+        std::error_code ignored;
+        std::filesystem::remove(model_a, ignored);
+        std::filesystem::remove(model_b, ignored);
+    }
+
+    ServeFixture(const ServeFixture&) = delete;
+    ServeFixture& operator=(const ServeFixture&) = delete;
 };
 
 const ServeFixture& fixture() {
