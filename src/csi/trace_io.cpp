@@ -17,13 +17,12 @@
 namespace wimi::csi {
 namespace {
 
-constexpr std::array<char, 4> kMagic = {'W', 'C', 'S', 'I'};
+constexpr std::array<std::uint8_t, 4> kMagic = {'W', 'C', 'S', 'I'};
 constexpr std::uint32_t kByteOrderMarker = 0x01020304u;
 
-// Header sizes in bytes. v1: magic + version + ant + sc + frames.
-// v2 adds the byte-order marker and the trailing header CRC.
-constexpr std::size_t kHeaderBytesV1 = 4 + 4 + 4 + 4 + 8;
-constexpr std::size_t kHeaderBytesV2 = 4 + 4 + 4 + 4 + 4 + 8 + 4;
+constexpr std::size_t kHeaderBytesV2 = trace_header_bytes(kTraceVersion2);
+// Magic + version: enough to know which header follows.
+constexpr std::size_t kPrefixBytes = 8;
 
 // Plausibility caps: a corrupt header must not drive a multi-GB
 // allocation. Real captures are 3 antennas x 30 subcarriers; these are
@@ -32,51 +31,145 @@ constexpr std::uint32_t kMaxDimension = 65535;
 constexpr std::uint64_t kMaxFrames = 100'000'000ULL;
 
 // --- explicit little-endian field codec ---------------------------------
+//
+// Spelled byte by byte, so the layout is the same on any host. Compilers
+// fold each helper into one plain load or store on little-endian
+// targets, which keeps the frame codec at memory speed; the stores go
+// through a local array because GCC's vectorizer otherwise keeps eight
+// single-byte stores per double.
 
-void put_u32_le(std::vector<unsigned char>& out, std::uint32_t v) {
-    out.push_back(static_cast<unsigned char>(v & 0xFFu));
-    out.push_back(static_cast<unsigned char>((v >> 8) & 0xFFu));
-    out.push_back(static_cast<unsigned char>((v >> 16) & 0xFFu));
-    out.push_back(static_cast<unsigned char>((v >> 24) & 0xFFu));
-}
-
-void put_u64_le(std::vector<unsigned char>& out, std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-        out.push_back(static_cast<unsigned char>((v >> shift) & 0xFFu));
+template <typename T>
+void store_le(std::uint8_t* p, T v) {
+    std::array<std::uint8_t, sizeof(T)> bytes;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    std::memcpy(p, bytes.data(), bytes.size());
 }
 
-void put_f64_le(std::vector<unsigned char>& out, double v) {
-    put_u64_le(out, std::bit_cast<std::uint64_t>(v));
+void store_u32_le(std::uint8_t* p, std::uint32_t v) { store_le(p, v); }
+
+void store_u64_le(std::uint8_t* p, std::uint64_t v) { store_le(p, v); }
+
+void store_f64_le(std::uint8_t* p, double v) {
+    store_u64_le(p, std::bit_cast<std::uint64_t>(v));
 }
 
-std::uint32_t get_u32_le(const unsigned char* p) {
+std::uint32_t load_u32_le(const std::uint8_t* p) {
     return static_cast<std::uint32_t>(p[0]) |
            (static_cast<std::uint32_t>(p[1]) << 8) |
            (static_cast<std::uint32_t>(p[2]) << 16) |
            (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-std::uint64_t get_u64_le(const unsigned char* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-        v = (v << 8) | static_cast<std::uint64_t>(p[i]);
+std::uint64_t load_u64_le(const std::uint8_t* p) {
+    return static_cast<std::uint64_t>(load_u32_le(p)) |
+           (static_cast<std::uint64_t>(load_u32_le(p + 4)) << 32);
+}
+
+double load_f64_le(const std::uint8_t* p) {
+    return std::bit_cast<double>(load_u64_le(p));
+}
+
+/// The strict readers' message for a rejected header.
+std::string header_error(TraceHeaderStatus status, std::uint32_t version) {
+    switch (status) {
+        case TraceHeaderStatus::kOk:
+            break;
+        case TraceHeaderStatus::kBadMagic:
+            return "read_trace: bad magic (not a WCSI trace)";
+        case TraceHeaderStatus::kBadVersion:
+            return "read_trace: unsupported version " +
+                   std::to_string(version);
+        case TraceHeaderStatus::kTruncated:
+            return "read_trace: truncated header";
+        case TraceHeaderStatus::kByteOrderMismatch:
+            return "read_trace: byte-order marker mismatch";
+        case TraceHeaderStatus::kCrcMismatch:
+            return "read_trace: header CRC mismatch";
+        case TraceHeaderStatus::kImplausible:
+            return "read_trace: implausible header dimensions";
     }
-    return v;
+    return "read_trace: header accepted";
 }
 
-double get_f64_le(const unsigned char* p) {
-    return std::bit_cast<double>(get_u64_le(p));
+/// Counts and logs a header CRC failure, the same for every reader.
+void note_header_crc_failure(bool strict) {
+    WIMI_OBS_COUNT("trace.crc_failures", 1);
+    WIMI_OBS_LOG_WARN("csi.trace", "header CRC mismatch",
+                      obs::kv("policy_strict", strict));
 }
 
-}  // namespace
+/// Counts and logs one damaged frame record, the same for every reader.
+void note_damaged_frame(FrameRecordStatus status, std::uint64_t index) {
+    if (status == FrameRecordStatus::kCrcMismatch) {
+        WIMI_OBS_COUNT("trace.crc_failures", 1);
+        WIMI_OBS_LOG_DEBUG("csi.trace", "frame CRC mismatch",
+                           obs::kv("frame", index));
+    } else {
+        WIMI_OBS_LOG_DEBUG("csi.trace", "non-finite CSI frame",
+                           obs::kv("frame", index));
+    }
+    WIMI_OBS_COUNT("trace.frames_skipped", 1);
+}
 
-// --- writer -------------------------------------------------------------
+/// The strict readers' message for a damaged frame record.
+std::string frame_error(FrameRecordStatus status, std::uint64_t index) {
+    return (status == FrameRecordStatus::kCrcMismatch
+                ? "read_trace: frame CRC mismatch (frame "
+                : "read_trace: non-finite CSI values (frame ") +
+           std::to_string(index) + ")";
+}
 
-void write_trace(std::ostream& stream, const CsiSeries& series,
-                 const TraceWriteOptions& options) {
-    ensure(options.version == kTraceVersion1 ||
-               options.version == kTraceVersion2,
+/// Writes `header` into the first trace_header_bytes(header.version)
+/// bytes of `out`; v2 adds the byte-order marker and the header CRC.
+void encode_trace_header(const TraceHeader& header,
+                         std::span<std::uint8_t> out) {
+    ensure(out.size() >= trace_header_bytes(header.version),
+           "encode_trace_header: buffer shorter than the header");
+    std::uint8_t* p = out.data();
+    std::memcpy(p, kMagic.data(), kMagic.size());
+    store_u32_le(p + 4, header.version);
+    p += kPrefixBytes;
+    if (header.version == kTraceVersion2) {
+        store_u32_le(p, kByteOrderMarker);
+        p += 4;
+    }
+    store_u32_le(p, header.antenna_count);
+    store_u32_le(p + 4, header.subcarrier_count);
+    store_u64_le(p + 8, header.frame_count);
+    if (header.version == kTraceVersion2) {
+        store_u32_le(p + 16, crc32(out.data(), kHeaderBytesV2 - 4));
+    }
+}
+
+/// Writes `frame` as one record into `out`, which must be exactly
+/// trace_record_bytes(version, <frame geometry>) long; v2 appends the CRC
+/// over the payload. The caller checks that the frame is finite.
+void encode_frame_record(const CsiFrame& frame, std::uint32_t version,
+                         std::span<std::uint8_t> out) {
+    const std::size_t payload = 16 + 16 * frame.raw().size();
+    ensure(out.size() == trace_record_bytes(version, frame.antenna_count(),
+                                            frame.subcarrier_count()),
+           "encode_frame_record: buffer does not fit the frame geometry");
+    std::uint8_t* p = out.data();
+    store_f64_le(p, frame.timestamp_s);
+    store_f64_le(p + 8, frame.rssi_dbm);
+    p += 16;
+    for (const Complex& h : frame.raw()) {
+        store_f64_le(p, h.real());
+        store_f64_le(p + 8, h.imag());
+        p += 16;
+    }
+    if (version == kTraceVersion2) {
+        store_u32_le(p, crc32(out.data(), payload));
+    }
+}
+
+/// write_trace's checks, run before any byte is produced; returns the
+/// header that describes `series`.
+TraceHeader writable_header(const CsiSeries& series, std::uint32_t version) {
+    ensure(version == kTraceVersion1 || version == kTraceVersion2,
            "write_trace: unsupported version");
     series.validate();
     for (std::size_t i = 0; i < series.frames.size(); ++i) {
@@ -84,36 +177,159 @@ void write_trace(std::ostream& stream, const CsiSeries& series,
                "write_trace: non-finite CSI values in frame " +
                    std::to_string(i));
     }
+    return {.version = version,
+            .antenna_count = static_cast<std::uint32_t>(series.antenna_count()),
+            .subcarrier_count =
+                static_cast<std::uint32_t>(series.subcarrier_count()),
+            .frame_count = static_cast<std::uint64_t>(series.packet_count())};
+}
 
-    std::vector<unsigned char> header;
-    header.reserve(kHeaderBytesV2);
-    header.insert(header.end(), kMagic.begin(), kMagic.end());
-    put_u32_le(header, options.version);
-    if (options.version == kTraceVersion2) {
-        put_u32_le(header, kByteOrderMarker);
-    }
-    put_u32_le(header, static_cast<std::uint32_t>(series.antenna_count()));
-    put_u32_le(header,
-               static_cast<std::uint32_t>(series.subcarrier_count()));
-    put_u64_le(header, static_cast<std::uint64_t>(series.packet_count()));
-    if (options.version == kTraceVersion2) {
-        put_u32_le(header, crc32(header.data(), header.size()));
-    }
-    stream.write(reinterpret_cast<const char*>(header.data()),
-                 static_cast<std::streamsize>(header.size()));
+}  // namespace
 
-    std::vector<unsigned char> record;
-    for (const auto& frame : series.frames) {
-        record.clear();
-        put_f64_le(record, frame.timestamp_s);
-        put_f64_le(record, frame.rssi_dbm);
-        for (const Complex& h : frame.raw()) {
-            put_f64_le(record, h.real());
-            put_f64_le(record, h.imag());
+// --- byte codec ---------------------------------------------------------
+
+std::size_t trace_bytes(const CsiSeries& series, std::uint32_t version) {
+    return trace_header_bytes(version) +
+           series.packet_count() *
+               trace_record_bytes(version, series.antenna_count(),
+                                  series.subcarrier_count());
+}
+
+TraceHeaderStatus decode_trace_header(std::span<const std::uint8_t> bytes,
+                                      TraceHeader& header) {
+    const std::uint8_t* p = bytes.data();
+    if (bytes.size() < kPrefixBytes ||
+        std::memcmp(p, kMagic.data(), kMagic.size()) != 0) {
+        return TraceHeaderStatus::kBadMagic;
+    }
+    header.version = load_u32_le(p + 4);
+    if (header.version != kTraceVersion1 &&
+        header.version != kTraceVersion2) {
+        return TraceHeaderStatus::kBadVersion;
+    }
+    if (bytes.size() < trace_header_bytes(header.version)) {
+        return TraceHeaderStatus::kTruncated;
+    }
+    const std::uint8_t* fields = p + kPrefixBytes;
+    if (header.version == kTraceVersion2) {
+        if (load_u32_le(fields) != kByteOrderMarker) {
+            return TraceHeaderStatus::kByteOrderMismatch;
         }
-        if (options.version == kTraceVersion2) {
-            put_u32_le(record, crc32(record.data(), record.size()));
+        if (load_u32_le(p + kHeaderBytesV2 - 4) !=
+            crc32(p, kHeaderBytesV2 - 4)) {
+            return TraceHeaderStatus::kCrcMismatch;
         }
+        fields += 4;
+    }
+    const std::uint32_t n_ant = load_u32_le(fields);
+    const std::uint32_t n_sc = load_u32_le(fields + 4);
+    const std::uint64_t n_frames = load_u64_le(fields + 8);
+    const bool plausible =
+        ((n_ant >= 1 && n_sc >= 1) || n_frames == 0) &&
+        n_ant <= kMaxDimension && n_sc <= kMaxDimension &&
+        n_frames <= kMaxFrames;
+    if (!plausible) {
+        return TraceHeaderStatus::kImplausible;
+    }
+    header.antenna_count = n_ant;
+    header.subcarrier_count = n_sc;
+    header.frame_count = n_frames;
+    return TraceHeaderStatus::kOk;
+}
+
+FrameRecordStatus decode_frame_record(std::span<const std::uint8_t> record,
+                                      std::uint32_t version,
+                                      CsiFrame& frame) {
+    const std::size_t payload = 16 + 16 * frame.raw().size();
+    ensure(record.size() == trace_record_bytes(version, frame.antenna_count(),
+                                               frame.subcarrier_count()),
+           "decode_frame_record: record does not fit the frame geometry");
+    const std::uint8_t* p = record.data();
+    if (version == kTraceVersion2 &&
+        load_u32_le(p + payload) != crc32(p, payload)) {
+        return FrameRecordStatus::kCrcMismatch;
+    }
+    frame.timestamp_s = load_f64_le(p);
+    frame.rssi_dbm = load_f64_le(p + 8);
+    p += 16;
+    for (Complex& h : frame.raw()) {
+        h = Complex(load_f64_le(p), load_f64_le(p + 8));
+        p += 16;
+    }
+    // A v1 bit flip or a writer that serialized garbage: reject it here
+    // instead of feeding NaN into the pipeline.
+    return frame.is_finite() ? FrameRecordStatus::kOk
+                             : FrameRecordStatus::kNonFinite;
+}
+
+void encode_trace(const CsiSeries& series, std::span<std::uint8_t> out,
+                  std::uint32_t version) {
+    const TraceHeader header = writable_header(series, version);
+    ensure(out.size() == trace_bytes(series, version),
+           "encode_trace: buffer size does not match the series");
+    encode_trace_header(header, out);
+    const std::size_t record = trace_record_bytes(
+        version, series.antenna_count(), series.subcarrier_count());
+    std::size_t at = trace_header_bytes(version);
+    for (const CsiFrame& frame : series.frames) {
+        encode_frame_record(frame, version, out.subspan(at, record));
+        at += record;
+    }
+}
+
+CsiSeries decode_trace(std::span<const std::uint8_t> bytes) {
+    TraceHeader header;
+    const TraceHeaderStatus status = decode_trace_header(bytes, header);
+    if (status != TraceHeaderStatus::kOk) {
+        if (status == TraceHeaderStatus::kCrcMismatch) {
+            note_header_crc_failure(/*strict=*/true);
+        }
+        fail(header_error(status, header.version));
+    }
+    // The header caps keep frame_count * record far inside 64 bits, and
+    // the length is settled before a single frame is allocated.
+    const std::size_t record = trace_record_bytes(
+        header.version, header.antenna_count, header.subcarrier_count);
+    const std::uint64_t expected =
+        trace_header_bytes(header.version) + header.frame_count * record;
+    ensure(bytes.size() >= expected, "read_trace: truncated stream");
+    ensure(bytes.size() == expected,
+           "read_trace: trailing bytes after the last frame");
+
+    CsiSeries series;
+    series.frames.reserve(static_cast<std::size_t>(header.frame_count));
+    std::size_t at = trace_header_bytes(header.version);
+    for (std::uint64_t i = 0; i < header.frame_count; ++i) {
+        CsiFrame frame(header.antenna_count, header.subcarrier_count);
+        const FrameRecordStatus frame_status = decode_frame_record(
+            bytes.subspan(at, record), header.version, frame);
+        if (frame_status != FrameRecordStatus::kOk) {
+            note_damaged_frame(frame_status, i);
+            fail(frame_error(frame_status, i));
+        }
+        series.frames.push_back(std::move(frame));
+        at += record;
+    }
+    series.validate();
+    return series;
+}
+
+// --- writer -------------------------------------------------------------
+
+void write_trace(std::ostream& stream, const CsiSeries& series,
+                 const TraceWriteOptions& options) {
+    // Frame by frame through one record buffer, so writing a long capture
+    // never holds a second copy of it.
+    const TraceHeader header = writable_header(series, options.version);
+    std::array<std::uint8_t, kHeaderBytesV2> header_bytes{};
+    encode_trace_header(header, header_bytes);
+    stream.write(reinterpret_cast<const char*>(header_bytes.data()),
+                 static_cast<std::streamsize>(
+                     trace_header_bytes(header.version)));
+    std::vector<std::uint8_t> record(trace_record_bytes(
+        header.version, header.antenna_count, header.subcarrier_count));
+    for (const CsiFrame& frame : series.frames) {
+        encode_frame_record(frame, header.version, record);
         stream.write(reinterpret_cast<const char*>(record.data()),
                      static_cast<std::streamsize>(record.size()));
     }
@@ -140,6 +356,8 @@ TraceWriter::TraceWriter(const std::filesystem::path& path,
     ensure(antenna_count <= kMaxDimension &&
                subcarrier_count <= kMaxDimension,
            "TraceWriter: dimensions exceed the format cap");
+    record_.resize(
+        trace_record_bytes(kTraceVersion2, antennas_, subcarriers_));
     stream_.open(path, std::ios::binary | std::ios::trunc);
     ensure(stream_.is_open(),
            "TraceWriter: cannot open " + path.string());
@@ -158,15 +376,13 @@ TraceWriter::~TraceWriter() {
 /// header is fixed-size, so the stamp is a seek + 32-byte write; the
 /// write cursor is restored to the end afterwards.
 void TraceWriter::stamp_header() {
-    std::vector<unsigned char> header;
-    header.reserve(kHeaderBytesV2);
-    header.insert(header.end(), kMagic.begin(), kMagic.end());
-    put_u32_le(header, kTraceVersion2);
-    put_u32_le(header, kByteOrderMarker);
-    put_u32_le(header, static_cast<std::uint32_t>(antennas_));
-    put_u32_le(header, static_cast<std::uint32_t>(subcarriers_));
-    put_u64_le(header, frames_written_);
-    put_u32_le(header, crc32(header.data(), header.size()));
+    std::array<std::uint8_t, kHeaderBytesV2> header{};
+    encode_trace_header(
+        {.version = kTraceVersion2,
+         .antenna_count = static_cast<std::uint32_t>(antennas_),
+         .subcarrier_count = static_cast<std::uint32_t>(subcarriers_),
+         .frame_count = frames_written_},
+        header);
     stream_.seekp(0);
     stream_.write(reinterpret_cast<const char*>(header.data()),
                   static_cast<std::streamsize>(header.size()));
@@ -180,17 +396,9 @@ void TraceWriter::append(const CsiFrame& frame) {
            "TraceWriter::append: frame geometry mismatch");
     ensure(frame.is_finite(),
            "TraceWriter::append: non-finite CSI values");
-    std::vector<unsigned char> record;
-    record.reserve(16 + antennas_ * subcarriers_ * 16 + 4);
-    put_f64_le(record, frame.timestamp_s);
-    put_f64_le(record, frame.rssi_dbm);
-    for (const Complex& h : frame.raw()) {
-        put_f64_le(record, h.real());
-        put_f64_le(record, h.imag());
-    }
-    put_u32_le(record, crc32(record.data(), record.size()));
-    stream_.write(reinterpret_cast<const char*>(record.data()),
-                  static_cast<std::streamsize>(record.size()));
+    encode_frame_record(frame, kTraceVersion2, record_);
+    stream_.write(reinterpret_cast<const char*>(record_.data()),
+                  static_cast<std::streamsize>(record_.size()));
     ++frames_written_;
     stamp_header();
     // Push the completed record to the OS so a tailing reader observes
@@ -220,85 +428,46 @@ TraceReader::TraceReader(std::istream& stream, TraceReadOptions options)
 void TraceReader::read_header() {
     const bool strict = options_.policy == ReadPolicy::kStrict;
 
-    // Magic and version first: a stream that fails here is not a WCSI
-    // container of any vintage, so every policy throws.
-    std::array<unsigned char, 8> prefix{};
-    stream_.read(reinterpret_cast<char*>(prefix.data()), prefix.size());
-    ensure(static_cast<bool>(stream_) &&
-               std::memcmp(prefix.data(), kMagic.data(), kMagic.size()) ==
-                   0,
-           "read_trace: bad magic (not a WCSI trace)");
-    const std::uint32_t version = get_u32_le(prefix.data() + 4);
-    ensure(version == kTraceVersion1 || version == kTraceVersion2,
-           "read_trace: unsupported version " + std::to_string(version));
-    report_.version = version;
-
-    // Rest of the header; length depends on the version.
-    const std::size_t rest_bytes =
-        (version == kTraceVersion2 ? kHeaderBytesV2 : kHeaderBytesV1) -
-        prefix.size();
-    std::array<unsigned char, kHeaderBytesV2 - 8> rest{};
-    stream_.read(reinterpret_cast<char*>(rest.data()),
-                 static_cast<std::streamsize>(rest_bytes));
-    if (!stream_) {
-        report_.truncated = true;
+    // Magic and version first: they say how long the rest of the header
+    // is, so the reader never consumes a byte past it.
+    std::array<std::uint8_t, kHeaderBytesV2> bytes{};
+    stream_.read(reinterpret_cast<char*>(bytes.data()), kPrefixBytes);
+    std::size_t got = static_cast<std::size_t>(stream_.gcount());
+    TraceHeader header;
+    TraceHeaderStatus status = decode_trace_header({bytes.data(), got},
+                                                   header);
+    if (status == TraceHeaderStatus::kTruncated) {
+        stream_.read(reinterpret_cast<char*>(bytes.data() + got),
+                     static_cast<std::streamsize>(
+                         trace_header_bytes(header.version) - got));
+        got += static_cast<std::size_t>(stream_.gcount());
+        status = decode_trace_header({bytes.data(), got}, header);
+    }
+    // Not a WCSI container of any vintage: nothing to salvage, so every
+    // policy throws.
+    if (status == TraceHeaderStatus::kBadMagic ||
+        status == TraceHeaderStatus::kBadVersion) {
+        fail(header_error(status, header.version));
+    }
+    report_.version = header.version;
+    if (status != TraceHeaderStatus::kOk) {
         report_.header_ok = false;
-        done_ = true;
-        ensure(!strict, "read_trace: truncated header");
-        return;
-    }
-
-    const unsigned char* p = rest.data();
-    if (version == kTraceVersion2) {
-        const std::uint32_t marker = get_u32_le(p);
-        p += 4;
-        if (marker != kByteOrderMarker) {
-            report_.header_ok = false;
-            done_ = true;
-            ensure(!strict, "read_trace: byte-order marker mismatch");
-            return;
-        }
-    }
-    const std::uint32_t n_ant = get_u32_le(p);
-    const std::uint32_t n_sc = get_u32_le(p + 4);
-    const std::uint64_t n_frames = get_u64_le(p + 8);
-    if (version == kTraceVersion2) {
-        Crc32 crc;
-        crc.update(prefix.data(), prefix.size());
-        crc.update(rest.data(), rest_bytes - 4);
-        const std::uint32_t stored = get_u32_le(p + 16);
-        if (crc.value() != stored) {
+        report_.truncated = status == TraceHeaderStatus::kTruncated;
+        if (status == TraceHeaderStatus::kCrcMismatch) {
             report_.crc_failures += 1;
-            WIMI_OBS_COUNT("trace.crc_failures", 1);
-            WIMI_OBS_LOG_WARN("csi.trace", "header CRC mismatch",
-                              obs::kv("policy_strict", strict));
-            report_.header_ok = false;
-            done_ = true;
-            ensure(!strict, "read_trace: header CRC mismatch");
-            return;
+            note_header_crc_failure(strict);
         }
-    }
-
-    const bool plausible =
-        ((n_ant >= 1 && n_sc >= 1) || n_frames == 0) &&
-        n_ant <= kMaxDimension && n_sc <= kMaxDimension &&
-        n_frames <= kMaxFrames;
-    if (!plausible) {
-        report_.header_ok = false;
         done_ = true;
-        ensure(!strict, "read_trace: implausible header dimensions");
+        ensure(!strict, header_error(status, header.version));
         return;
     }
 
-    report_.antenna_count = n_ant;
-    report_.subcarrier_count = n_sc;
-    report_.frames_declared = n_frames;
-    frame_payload_bytes_ =
-        16 + static_cast<std::size_t>(n_ant) * n_sc * 16;
-    frame_record_bytes_ =
-        frame_payload_bytes_ + (version == kTraceVersion2 ? 4 : 0);
-    buffer_.resize(frame_record_bytes_);
-    if (n_frames == 0) {
+    report_.antenna_count = header.antenna_count;
+    report_.subcarrier_count = header.subcarrier_count;
+    report_.frames_declared = header.frame_count;
+    buffer_.resize(trace_record_bytes(header.version, header.antenna_count,
+                                      header.subcarrier_count));
+    if (header.frame_count == 0) {
         done_ = true;
     }
 }
@@ -307,9 +476,8 @@ void TraceReader::read_header() {
 /// the read, throwing under strict) when the stream ends first.
 bool TraceReader::fill_frame_buffer() {
     stream_.read(reinterpret_cast<char*>(buffer_.data()),
-                 static_cast<std::streamsize>(frame_record_bytes_));
-    if (stream_.gcount() ==
-        static_cast<std::streamsize>(frame_record_bytes_)) {
+                 static_cast<std::streamsize>(buffer_.size()));
+    if (stream_.gcount() == static_cast<std::streamsize>(buffer_.size())) {
         return true;
     }
     // Stream ended before the declared frame count: a torn write or
@@ -331,66 +499,33 @@ bool TraceReader::fill_frame_buffer() {
 }
 
 std::optional<CsiFrame> TraceReader::next() {
-    const bool strict = options_.policy == ReadPolicy::kStrict;
     while (!done_ && frames_consumed_ < report_.frames_declared) {
         if (!fill_frame_buffer()) {
             return std::nullopt;
         }
-        frames_consumed_ += 1;
-
-        if (report_.version == kTraceVersion2) {
-            const std::uint32_t stored =
-                get_u32_le(buffer_.data() + frame_payload_bytes_);
-            if (crc32(buffer_.data(), frame_payload_bytes_) != stored) {
-                report_.crc_failures += 1;
-                report_.frames_skipped += 1;
-                WIMI_OBS_COUNT("trace.crc_failures", 1);
-                WIMI_OBS_COUNT("trace.frames_skipped", 1);
-                WIMI_OBS_LOG_DEBUG("csi.trace", "frame CRC mismatch",
-                                   obs::kv("frame",
-                                           frames_consumed_ - 1));
-                ensure(!strict, "read_trace: frame CRC mismatch (frame " +
-                                    std::to_string(frames_consumed_ - 1) +
-                                    ")");
-                if (options_.policy == ReadPolicy::kStopAtCorruption) {
-                    report_.stopped_at_corruption = true;
-                    done_ = true;
-                    return std::nullopt;
-                }
-                continue;  // kSkipCorrupt
-            }
-        }
-
+        const std::uint64_t index = frames_consumed_++;
         CsiFrame frame(report_.antenna_count, report_.subcarrier_count);
-        const unsigned char* p = buffer_.data();
-        frame.timestamp_s = get_f64_le(p);
-        frame.rssi_dbm = get_f64_le(p + 8);
-        p += 16;
-        for (Complex& h : frame.raw()) {
-            h = Complex(get_f64_le(p), get_f64_le(p + 8));
-            p += 16;
+        const FrameRecordStatus status =
+            decode_frame_record(buffer_, report_.version, frame);
+        if (status == FrameRecordStatus::kOk) {
+            report_.frames_recovered += 1;
+            return frame;
         }
-        if (!frame.is_finite()) {
-            // A v1 bit flip or a writer that serialized garbage: fail
-            // loudly instead of feeding NaN into the pipeline.
+        report_.frames_skipped += 1;
+        if (status == FrameRecordStatus::kCrcMismatch) {
+            report_.crc_failures += 1;
+        } else {
             report_.non_finite_frames += 1;
-            report_.frames_skipped += 1;
-            WIMI_OBS_COUNT("trace.frames_skipped", 1);
-            WIMI_OBS_LOG_DEBUG("csi.trace", "non-finite CSI frame",
-                               obs::kv("frame", frames_consumed_ - 1));
-            ensure(!strict,
-                   "read_trace: non-finite CSI values (frame " +
-                       std::to_string(frames_consumed_ - 1) + ")");
-            if (options_.policy == ReadPolicy::kStopAtCorruption) {
-                report_.stopped_at_corruption = true;
-                done_ = true;
-                return std::nullopt;
-            }
-            continue;  // kSkipCorrupt
         }
-
-        report_.frames_recovered += 1;
-        return frame;
+        note_damaged_frame(status, index);
+        ensure(options_.policy != ReadPolicy::kStrict,
+               frame_error(status, index));
+        if (options_.policy == ReadPolicy::kStopAtCorruption) {
+            report_.stopped_at_corruption = true;
+            done_ = true;
+            return std::nullopt;
+        }
+        // kSkipCorrupt: keep reading.
     }
     done_ = true;
     return std::nullopt;

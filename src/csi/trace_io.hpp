@@ -31,6 +31,12 @@
 // no checksums. v1 files were produced by native raw writes on
 // little-endian hosts, so the explicit little-endian decoder reads them
 // bit-identically.
+//
+// The layout lives in one byte codec in trace_io.cpp (its public face is
+// the "byte codec" section below): write_trace, TraceWriter, TraceReader,
+// stream::TraceTailer and the wimi_serve wire records (serve/wire) all
+// encode and decode headers and frame records through it, directly in
+// their own buffers.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +44,7 @@
 #include <fstream>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "csi/frame.hpp"
@@ -108,6 +115,85 @@ struct TraceWriteOptions {
     std::uint32_t version = kTraceCurrentVersion;
 };
 
+// --- byte codec ---------------------------------------------------------
+
+/// Header size in bytes: 24 for v1, 32 for v2 (which adds the byte-order
+/// marker and the header CRC).
+constexpr std::size_t trace_header_bytes(std::uint32_t version) {
+    return version == kTraceVersion2 ? 4 + 4 + 4 + 4 + 4 + 8 + 4
+                                     : 4 + 4 + 4 + 4 + 8;
+}
+
+/// Size of one frame record: 16 + 16 * antennas * subcarriers, plus the
+/// 4-byte CRC in v2.
+constexpr std::size_t trace_record_bytes(std::uint32_t version,
+                                         std::size_t antennas,
+                                         std::size_t subcarriers) {
+    return 16 + 16 * antennas * subcarriers +
+           (version == kTraceVersion2 ? 4 : 0);
+}
+
+/// Size of the whole container write_trace emits for `series`.
+std::size_t trace_bytes(const CsiSeries& series,
+                        std::uint32_t version = kTraceCurrentVersion);
+
+/// The fields of a container header.
+struct TraceHeader {
+    std::uint32_t version = kTraceCurrentVersion;
+    std::uint32_t antenna_count = 0;
+    std::uint32_t subcarrier_count = 0;
+    std::uint64_t frame_count = 0;
+};
+
+/// What decode_trace_header found, in the order it checks.
+enum class TraceHeaderStatus {
+    kOk,
+    /// Fewer than 8 bytes, or the magic is not "WCSI".
+    kBadMagic,
+    /// A version other than 1 or 2.
+    kBadVersion,
+    /// Fewer bytes than the version's header.
+    kTruncated,
+    /// v2 byte-order marker is not 0x01020304.
+    kByteOrderMismatch,
+    /// v2 header CRC does not match.
+    kCrcMismatch,
+    /// Zero or over-cap dimensions, or an over-cap frame count.
+    kImplausible,
+};
+
+/// Parses the header at the front of `bytes` into `header`. Past the
+/// magic, `header.version` holds the stored version whatever the result,
+/// so a reader holding only the first 8 bytes (kTruncated) learns how
+/// many more to fetch. The other fields are set only on kOk.
+TraceHeaderStatus decode_trace_header(std::span<const std::uint8_t> bytes,
+                                      TraceHeader& header);
+
+/// What decode_frame_record found.
+enum class FrameRecordStatus { kOk, kCrcMismatch, kNonFinite };
+
+/// Decodes one record into `frame`, which must already have the
+/// container's geometry, with `record` exactly its record size. v2 checks
+/// the CRC before decoding anything; every record is then checked for
+/// non-finite values. `frame` holds no meaningful values unless kOk.
+FrameRecordStatus decode_frame_record(std::span<const std::uint8_t> record,
+                                      std::uint32_t version, CsiFrame& frame);
+
+/// Writes the container for `series` into `out`, which must be exactly
+/// trace_bytes(series, version) long: the bytes write_trace emits, with
+/// the same checks and errors.
+void encode_trace(const CsiSeries& series, std::span<std::uint8_t> out,
+                  std::uint32_t version = kTraceCurrentVersion);
+
+/// Parses one container that fills `bytes` exactly: read_trace under
+/// kStrict over memory, with the same checks and error messages. Before
+/// it allocates any frame it also requires bytes.size() to equal header +
+/// frame_count * record, so a frame count that disagrees with the length
+/// and trailing bytes after the last frame are errors too.
+CsiSeries decode_trace(std::span<const std::uint8_t> bytes);
+
+// --- streams and files ---------------------------------------------------
+
 /// Writes `series` to `stream`. Throws wimi::Error on inconsistent
 /// series dimensions, non-finite values, an unsupported version, or
 /// stream failure.
@@ -175,6 +261,7 @@ private:
     std::size_t subcarriers_ = 0;
     std::uint64_t frames_written_ = 0;
     bool open_ = false;
+    std::vector<std::uint8_t> record_;  // one frame record, reused
 };
 
 /// Streaming frame-at-a-time reader over an open stream — the chunked
@@ -220,9 +307,7 @@ private:
     std::istream& stream_;
     TraceReadOptions options_;
     TraceReadReport report_;
-    std::vector<unsigned char> buffer_;  // one frame record
-    std::size_t frame_payload_bytes_ = 0;
-    std::size_t frame_record_bytes_ = 0;
+    std::vector<std::uint8_t> buffer_;  // one frame record
     std::uint64_t frames_consumed_ = 0;  // records pulled off the stream
     bool done_ = false;
 };

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <string_view>
 
 #include "common/crc32.hpp"
@@ -56,9 +55,15 @@ void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
     out.insert(out.end(), s.begin(), s.end());
 }
 
-void put_bytes(std::vector<std::uint8_t>& out, std::string_view bytes) {
-    put_u64_le(out, bytes.size());
-    out.insert(out.end(), bytes.begin(), bytes.end());
+/// Appends u64 byte count + the WCSI v2 container of `series`, encoded
+/// straight into `out` by the csi/trace_io byte codec.
+void put_series(std::vector<std::uint8_t>& out,
+                const csi::CsiSeries& series) {
+    const std::size_t bytes = csi::trace_bytes(series);
+    put_u64_le(out, bytes);
+    const std::size_t at = out.size();
+    out.resize(at + bytes);
+    csi::encode_trace(series, std::span(out).subspan(at));
 }
 
 /// Bounds-checked reader (same shape as the model_io / trace_io
@@ -105,13 +110,14 @@ public:
         return s;
     }
 
-    std::string get_bytes() {
+    /// u64 length + that many bytes, as a view into the record.
+    std::span<const std::uint8_t> get_region() {
         const std::uint64_t bytes = get_u64();
         need(bytes, "byte region");
-        std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                      static_cast<std::size_t>(bytes));
-        pos_ += static_cast<std::size_t>(bytes);
-        return s;
+        const std::span<const std::uint8_t> region(
+            data_ + pos_, static_cast<std::size_t>(bytes));
+        pos_ += region.size();
+        return region;
     }
 
 private:
@@ -133,29 +139,48 @@ std::uint32_t pick_version(std::uint64_t trace_id, std::uint64_t span_id,
                                                           : kWireVersion1;
 }
 
-/// Frames `body` as one record: header (+ v2 trace extension) + body +
-/// CRC over everything before the trailer.
-std::vector<std::uint8_t> frame_record(const char magic[4],
+std::size_t record_header_bytes(std::uint32_t version) {
+    return kWireHeaderBytes +
+           (version >= kWireVersion2 ? kWireTraceExtBytes : 0);
+}
+
+/// Offset of the u64 body_bytes field in the header.
+constexpr std::size_t kBodyBytesOffset = 20;
+
+/// Starts one record: header (+ v2 trace extension) with body_bytes left
+/// zero. The caller appends the body straight after it and seal_record
+/// finishes the record, so no body is ever copied.
+std::vector<std::uint8_t> start_record(const char magic[4],
                                        std::uint32_t version,
                                        std::uint32_t type_or_status,
                                        std::uint64_t request_id,
                                        std::uint64_t trace_id,
                                        std::uint64_t span_id,
-                                       const std::vector<std::uint8_t>& body) {
+                                       std::size_t body_capacity = 0) {
     std::vector<std::uint8_t> record;
-    const std::size_t ext =
-        version >= kWireVersion2 ? kWireTraceExtBytes : 0;
-    record.reserve(kWireHeaderBytes + ext + body.size() + kWireTrailerBytes);
+    record.reserve(record_header_bytes(version) + body_capacity +
+                   kWireTrailerBytes);
     put_u32_le(record, fourcc(magic));
     put_u32_le(record, version);
     put_u32_le(record, type_or_status);
     put_u64_le(record, request_id);
-    put_u64_le(record, body.size());
+    put_u64_le(record, 0);  // body_bytes, stamped by seal_record
     if (version >= kWireVersion2) {
         put_u64_le(record, trace_id);
         put_u64_le(record, span_id);
     }
-    record.insert(record.end(), body.begin(), body.end());
+    return record;
+}
+
+/// Stamps body_bytes and appends the CRC over everything before the
+/// trailer.
+std::vector<std::uint8_t> seal_record(std::vector<std::uint8_t> record,
+                                      std::uint32_t version) {
+    const std::uint64_t body = record.size() - record_header_bytes(version);
+    for (std::size_t i = 0; i < 8; ++i) {
+        record[kBodyBytesOffset + i] =
+            static_cast<std::uint8_t>((body >> (8 * i)) & 0xFFu);
+    }
     put_u32_le(record, crc32(record.data(), record.size()));
     return record;
 }
@@ -188,12 +213,10 @@ OpenedRecord open_record(std::span<const std::uint8_t> record,
     opened.request_id = header.get_u64();
     const std::uint64_t body_bytes = header.get_u64();
     ensure(body_bytes <= kMaxBodyBytes, "wire: body length over limit");
-    const std::size_t ext =
-        opened.version == kWireVersion2 ? kWireTraceExtBytes : 0;
-    ensure(record.size() ==
-               kWireHeaderBytes + ext + body_bytes + kWireTrailerBytes,
+    const std::size_t body_offset = record_header_bytes(opened.version);
+    ensure(record.size() == body_offset + body_bytes + kWireTrailerBytes,
            "wire: record length does not match body length");
-    if (ext != 0) {
+    if (opened.version == kWireVersion2) {
         opened.trace_id = header.get_u64();
         opened.span_id = header.get_u64();
     }
@@ -201,22 +224,17 @@ OpenedRecord open_record(std::span<const std::uint8_t> record,
     Cursor trailer(record.data() + crc_offset, kWireTrailerBytes);
     ensure(trailer.get_u32() == crc32(record.data(), crc_offset),
            "wire: record CRC mismatch");
-    opened.body = Cursor(record.data() + kWireHeaderBytes + ext,
+    opened.body = Cursor(record.data() + body_offset,
                          static_cast<std::size_t>(body_bytes));
     return opened;
 }
 
-std::string serialize_series(const csi::CsiSeries& series) {
-    std::ostringstream out;
-    csi::write_trace(out, series);
-    return std::move(out).str();
-}
-
-csi::CsiSeries deserialize_series(const std::string& bytes,
-                                  const char* which) {
+/// Parses one WCSI region in place (strict: any damage, a frame count
+/// that disagrees with the region length, or trailing bytes throw).
+csi::CsiSeries parse_series(std::span<const std::uint8_t> region,
+                            const char* which) {
     try {
-        std::istringstream in(bytes);
-        return csi::read_trace(in);  // strict: any damage throws
+        return csi::decode_trace(region);
     } catch (const Error& e) {
         throw Error(std::string("wire: bad ") + which +
                     " series: " + e.what());
@@ -259,25 +277,33 @@ std::string_view status_name(Status status) noexcept {
 }
 
 std::vector<std::uint8_t> encode_request(const Request& request) {
-    std::vector<std::uint8_t> body;
+    const std::uint32_t version = pick_version(
+        request.trace_id, request.parent_span_id, /*has_payload=*/false);
+    const bool series = request.type == MessageType::kPredictSeries;
+    std::vector<std::uint8_t> record = start_record(
+        kRequestMagic, version, static_cast<std::uint32_t>(request.type),
+        request.request_id, request.trace_id, request.parent_span_id,
+        series ? 16 + csi::trace_bytes(request.baseline) +
+                     csi::trace_bytes(request.target)
+               : 0);
     switch (request.type) {
         case MessageType::kPredictFeatures: {
             ensure(request.features.size() <= 0xFFFFFFFFu,
                    "wire: feature vector too wide");
-            put_u32_le(body,
+            put_u32_le(record,
                        static_cast<std::uint32_t>(request.features.size()));
             for (const double v : request.features) {
-                put_f64_le(body, v);
+                put_f64_le(record, v);
             }
             break;
         }
         case MessageType::kPredictSeries: {
-            put_bytes(body, serialize_series(request.baseline));
-            put_bytes(body, serialize_series(request.target));
+            put_series(record, request.baseline);
+            put_series(record, request.target);
             break;
         }
         case MessageType::kSwapModel: {
-            put_string(body, request.path);
+            put_string(record, request.path);
             break;
         }
         case MessageType::kPing:
@@ -289,35 +315,29 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
         default:
             fail("wire: unknown request type");
     }
-    const std::uint32_t version = pick_version(
-        request.trace_id, request.parent_span_id, /*has_payload=*/false);
-    return frame_record(kRequestMagic, version,
-                        static_cast<std::uint32_t>(request.type),
-                        request.request_id, request.trace_id,
-                        request.parent_span_id, body);
+    return seal_record(std::move(record), version);
 }
 
 std::vector<std::uint8_t> encode_response(const Response& response) {
     const std::uint32_t version = pick_version(
         response.trace_id, response.span_id, !response.payload.empty());
-    std::vector<std::uint8_t> body;
+    std::vector<std::uint8_t> record = start_record(
+        kResponseMagic, version, static_cast<std::uint32_t>(response.status),
+        response.request_id, response.trace_id, response.span_id);
     if (response.status == Status::kOk) {
-        put_i32_le(body, response.material_id);
-        put_string(body, response.material_name);
-        put_string(body, response.model_digest);
-        put_f64_le(body, response.queue_us);
-        put_f64_le(body, response.batch_wall_us);
-        put_u32_le(body, response.batch_size);
+        put_i32_le(record, response.material_id);
+        put_string(record, response.material_name);
+        put_string(record, response.model_digest);
+        put_f64_le(record, response.queue_us);
+        put_f64_le(record, response.batch_wall_us);
+        put_u32_le(record, response.batch_size);
         if (version >= kWireVersion2) {
-            put_string(body, response.payload);
+            put_string(record, response.payload);
         }
     } else {
-        put_string(body, response.message);
+        put_string(record, response.message);
     }
-    return frame_record(kResponseMagic, version,
-                        static_cast<std::uint32_t>(response.status),
-                        response.request_id, response.trace_id,
-                        response.span_id, body);
+    return seal_record(std::move(record), version);
 }
 
 Request decode_request(std::span<const std::uint8_t> record) {
@@ -340,9 +360,8 @@ Request decode_request(std::span<const std::uint8_t> record) {
         }
         case static_cast<std::uint32_t>(MessageType::kPredictSeries): {
             request.type = MessageType::kPredictSeries;
-            request.baseline =
-                deserialize_series(body.get_bytes(), "baseline");
-            request.target = deserialize_series(body.get_bytes(), "target");
+            request.baseline = parse_series(body.get_region(), "baseline");
+            request.target = parse_series(body.get_region(), "target");
             break;
         }
         case static_cast<std::uint32_t>(MessageType::kSwapModel): {

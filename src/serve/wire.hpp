@@ -30,8 +30,9 @@
 //                      model's persisted feature order).
 //   kPredictSeries   — u64 baseline_bytes + WCSI v2 container bytes,
 //                      u64 target_bytes + WCSI v2 container bytes
-//                      (csi/trace_io serialization, checksummed again
-//                      inside).
+//                      (csi/trace_io's byte codec, encoded and parsed in
+//                      place, checksummed again inside; each region holds
+//                      exactly one container, nothing after it).
 //   kSwapModel       — u32 path_bytes + UTF-8 wimi.model.v1 path, read
 //                      by the *server* process.
 //   kPing, kShutdown — empty body.

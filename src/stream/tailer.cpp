@@ -1,44 +1,22 @@
 #include "stream/tailer.hpp"
 
-#include <bit>
+#include <array>
 #include <chrono>
-#include <cstring>
 #include <system_error>
 #include <thread>
 
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 
 namespace wimi::stream {
 namespace {
 
-// WCSI v2 on-disk layout (mirrors src/csi/trace_io.cpp). The tailer
-// decodes records itself because it must address them by offset in a
-// file whose tail is still being written — TraceReader's sequential
-// istream model ends at EOF, which for a growing file is not the end.
-constexpr std::size_t kHeaderBytes = 32;
-constexpr std::uint32_t kByteOrderMarker = 0x01020304u;
-constexpr std::uint32_t kMaxDimension = 65535;
-
-std::uint32_t get_u32_le(const unsigned char* p) {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64_le(const unsigned char* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-        v = (v << 8) | static_cast<std::uint64_t>(p[i]);
-    }
-    return v;
-}
-
-double get_f64_le(const unsigned char* p) {
-    return std::bit_cast<double>(get_u64_le(p));
-}
+// The tailer addresses records by offset in a file whose tail is still
+// being written, so it reads them itself (TraceReader's sequential
+// istream ends at EOF, which for a growing file is not the end) and
+// decodes them with csi/trace_io's byte codec.
+constexpr std::size_t kHeaderBytes =
+    csi::trace_header_bytes(csi::kTraceVersion2);
 
 }  // namespace
 
@@ -55,23 +33,20 @@ bool TraceTailer::try_read_header() {
     if (!stream_.is_open()) {
         return false;
     }
-    unsigned char header[kHeaderBytes];
-    stream_.read(reinterpret_cast<char*>(header), kHeaderBytes);
+    std::array<std::uint8_t, kHeaderBytes> bytes{};
+    stream_.read(reinterpret_cast<char*>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size()));
     if (!stream_) {
         stream_.close();
         return false;
     }
 
-    const bool valid =
-        std::memcmp(header, "WCSI", 4) == 0 &&
-        get_u32_le(header + 4) == csi::kTraceVersion2 &&
-        get_u32_le(header + 8) == kByteOrderMarker &&
-        get_u32_le(header + 28) == crc32(header, kHeaderBytes - 4);
-    const std::uint32_t antennas = get_u32_le(header + 12);
-    const std::uint32_t subcarriers = get_u32_le(header + 16);
-    const bool plausible = valid && antennas >= 1 && subcarriers >= 1 &&
-                           antennas <= kMaxDimension &&
-                           subcarriers <= kMaxDimension;
+    csi::TraceHeader header;
+    const bool plausible =
+        csi::decode_trace_header(bytes, header) ==
+            csi::TraceHeaderStatus::kOk &&
+        header.version == csi::kTraceVersion2 && header.antenna_count >= 1 &&
+        header.subcarrier_count >= 1;
     if (!plausible) {
         stream_.close();
         if (config_.policy == csi::ReadPolicy::kStrict) {
@@ -84,10 +59,10 @@ bool TraceTailer::try_read_header() {
         return false;
     }
 
-    antennas_ = antennas;
-    subcarriers_ = subcarriers;
-    record_bytes_ = 16 + 16 * antennas_ * subcarriers_ + 4;
-    buffer_.resize(record_bytes_);
+    antennas_ = header.antenna_count;
+    subcarriers_ = header.subcarrier_count;
+    buffer_.resize(
+        csi::trace_record_bytes(csi::kTraceVersion2, antennas_, subcarriers_));
     header_seen_ = true;
     WIMI_OBS_LOG_DEBUG("stream.tailer", "following trace",
                        ::wimi::obs::kv("path", path_.string()),
@@ -102,46 +77,33 @@ TraceTailer::Pull TraceTailer::pull_one(csi::CsiFrame& out) {
     if (ec || size < kHeaderBytes) {
         return Pull::kNothing;
     }
-    const std::uint64_t complete =
-        (size - kHeaderBytes) / record_bytes_;
+    const std::size_t record_bytes = buffer_.size();
+    const std::uint64_t complete = (size - kHeaderBytes) / record_bytes;
     if (consumed_ >= complete) {
         return Pull::kNothing;
     }
 
     stream_.clear();  // a previous poll may have tripped eof
     stream_.seekg(static_cast<std::streamoff>(
-        kHeaderBytes + consumed_ * record_bytes_));
+        kHeaderBytes + consumed_ * record_bytes));
     stream_.read(reinterpret_cast<char*>(buffer_.data()),
-                 static_cast<std::streamsize>(record_bytes_));
+                 static_cast<std::streamsize>(record_bytes));
     if (!stream_) {
         return Pull::kNothing;  // raced the filesystem; poll again
     }
 
-    const std::uint32_t stored = get_u32_le(buffer_.data() + record_bytes_ - 4);
-    const bool crc_ok = stored == crc32(buffer_.data(), record_bytes_ - 4);
-    csi::CsiFrame frame;
-    bool finite_ok = false;
-    if (crc_ok) {
-        frame = csi::CsiFrame(antennas_, subcarriers_);
-        frame.timestamp_s = get_f64_le(buffer_.data());
-        frame.rssi_dbm = get_f64_le(buffer_.data() + 8);
-        std::span<Complex> cells = frame.raw();
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const unsigned char* p = buffer_.data() + 16 + i * 16;
-            cells[i] = Complex(get_f64_le(p), get_f64_le(p + 8));
-        }
-        finite_ok = frame.is_finite();
-    }
-
-    if (crc_ok && finite_ok) {
+    csi::CsiFrame frame(antennas_, subcarriers_);
+    if (csi::decode_frame_record(buffer_, csi::kTraceVersion2, frame) ==
+        csi::FrameRecordStatus::kOk) {
         ++consumed_;
         WIMI_OBS_COUNT("stream.tail.frames", 1);
         out = std::move(frame);
         return Pull::kFrame;
     }
 
-    // Invalid record. If it is the newest one available the writer's
-    // flush may still be landing — defer judgment to a later poll.
+    // Invalid record (CRC mismatch or non-finite values). If it is the
+    // newest one available the writer's flush may still be landing —
+    // defer judgment to a later poll.
     if (consumed_ + 1 == complete) {
         return Pull::kTornTail;
     }

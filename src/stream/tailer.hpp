@@ -79,10 +79,9 @@ private:
     bool stopped_ = false;
     std::size_t antennas_ = 0;
     std::size_t subcarriers_ = 0;
-    std::size_t record_bytes_ = 0;
     std::uint64_t consumed_ = 0;  ///< complete records fully processed
     std::uint64_t skipped_ = 0;
-    std::vector<unsigned char> buffer_;  ///< one record, reused
+    std::vector<std::uint8_t> buffer_;  ///< one frame record, reused
 };
 
 }  // namespace wimi::stream

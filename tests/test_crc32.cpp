@@ -3,11 +3,38 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace wimi {
 namespace {
+
+/// Bit-at-a-time CRC-32 straight from the polynomial definition: the
+/// oracle the table-driven implementation must match on every input.
+std::uint32_t reference_crc32(const unsigned char* data, std::size_t size) {
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        state ^= data[i];
+        for (int bit = 0; bit < 8; ++bit) {
+            state = (state & 1u) ? (state >> 1) ^ 0xEDB88320u
+                                 : state >> 1;
+        }
+    }
+    return state ^ 0xFFFFFFFFu;
+}
+
+/// Deterministic non-repeating-looking bytes, reproducible outside this
+/// repository: bytes(((i * 131) ^ (i >> 7)) & 0xFF for i in range(n)).
+std::vector<unsigned char> pattern_bytes(std::size_t size) {
+    std::vector<unsigned char> bytes(size);
+    for (std::size_t i = 0; i < size; ++i) {
+        bytes[i] =
+            static_cast<unsigned char>(((i * 131) ^ (i >> 7)) & 0xFFu);
+    }
+    return bytes;
+}
 
 TEST(Crc32, MatchesKnownVectors) {
     // The canonical check value of CRC-32/ISO-HDLC and zlib's crc32().
@@ -24,15 +51,46 @@ TEST(Crc32, EmptyInputIsZero) {
 }
 
 TEST(Crc32, IncrementalMatchesOneShot) {
+    // Long enough that the splits land on every position inside the
+    // 8-byte slices, on both sides of the seam.
     const std::string data =
-        "a torn write leaves stale bytes after the seam";
+        "a torn write leaves stale bytes after the seam, and the reader "
+        "must notice it on the first pass";
+    ASSERT_GE(data.size(), 64u);
+    const std::uint32_t expected = reference_crc32(
+        reinterpret_cast<const unsigned char*>(data.data()), data.size());
+    ASSERT_EQ(crc32(data.data(), data.size()), expected);
     for (std::size_t split = 0; split <= data.size(); ++split) {
         Crc32 crc;
         crc.update(data.data(), split);
         crc.update(data.data() + split, data.size() - split);
-        EXPECT_EQ(crc.value(), crc32(data.data(), data.size()))
-            << "split=" << split;
+        EXPECT_EQ(crc.value(), expected) << "split=" << split;
     }
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndAlignment) {
+    const std::vector<unsigned char> bytes = pattern_bytes(256 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t size = 0; size <= 256; ++size) {
+            EXPECT_EQ(crc32(bytes.data() + offset, size),
+                      reference_crc32(bytes.data() + offset, size))
+                << "offset=" << offset << " size=" << size;
+        }
+    }
+}
+
+TEST(Crc32, MatchesBitwiseOracleOnASeriesRequestSizedBuffer) {
+    // The size of one kPredictSeries record carrying two 20-packet
+    // 3x30 captures.
+    const std::vector<unsigned char> bytes = pattern_bytes(58512);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+              reference_crc32(bytes.data(), bytes.size()));
+}
+
+TEST(Crc32, LongKnownAnswer) {
+    // zlib.crc32 of pattern_bytes(1 << 20), as Python computes it.
+    const std::vector<unsigned char> bytes = pattern_bytes(1u << 20);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0xFC343261u);
 }
 
 TEST(Crc32, ResetReturnsToEmptyState) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -274,8 +275,11 @@ TEST_P(InferenceEnvironment, RoundTripPredictsBitIdentically) {
     config.repetitions = 4;
     const core::Model model = sim::train_experiment_model(config);
 
-    const auto path = std::filesystem::temp_directory_path() /
-                      "wimi_inference_env_roundtrip.wmdl";
+    // One file per environment: ctest runs the instances in parallel.
+    const auto path =
+        std::filesystem::temp_directory_path() /
+        ("wimi_inference_env_roundtrip_" +
+         std::to_string(static_cast<int>(GetParam())) + ".wmdl");
     save_model_file(path, model);
     const InferenceEngine original(model);
     const InferenceEngine loaded = InferenceEngine::load(path);

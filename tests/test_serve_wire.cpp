@@ -8,16 +8,152 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "csi/trace_io.hpp"
 #include "rf/material.hpp"
 #include "sim/scenario.hpp"
 
 namespace wimi::serve::wire {
 namespace {
+
+using Bytes = std::vector<std::uint8_t>;
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+/// Every frame of `got` equals `want` bit for bit: geometry, timestamp,
+/// RSSI and every cell.
+void expect_bit_identical(const csi::CsiSeries& got,
+                          const csi::CsiSeries& want) {
+    ASSERT_EQ(got.frames.size(), want.frames.size());
+    for (std::size_t f = 0; f < want.frames.size(); ++f) {
+        const csi::CsiFrame& a = got.frames[f];
+        const csi::CsiFrame& b = want.frames[f];
+        ASSERT_EQ(a.antenna_count(), b.antenna_count()) << "frame " << f;
+        ASSERT_EQ(a.subcarrier_count(), b.subcarrier_count())
+            << "frame " << f;
+        EXPECT_TRUE(same_bits(a.timestamp_s, b.timestamp_s))
+            << "frame " << f;
+        EXPECT_TRUE(same_bits(a.rssi_dbm, b.rssi_dbm)) << "frame " << f;
+        for (std::size_t i = 0; i < b.raw().size(); ++i) {
+            EXPECT_TRUE(same_bits(a.raw()[i].real(), b.raw()[i].real()) &&
+                        same_bits(a.raw()[i].imag(), b.raw()[i].imag()))
+                << "frame " << f << " cell " << i;
+        }
+    }
+}
+
+/// A 3-antenna x 30-subcarrier capture (the Intel 5300's shape) drawn
+/// from `seed`. Only next_u64-derived arithmetic, no libm, so the bytes
+/// are the same on every platform.
+csi::CsiSeries synthetic_capture(std::uint64_t seed, std::size_t packets) {
+    Rng rng(seed);
+    csi::CsiSeries series;
+    for (std::size_t p = 0; p < packets; ++p) {
+        csi::CsiFrame frame(3, 30);
+        frame.timestamp_s = 0.01 * static_cast<double>(p);
+        frame.rssi_dbm = rng.uniform(-60.0, -30.0);
+        for (Complex& h : frame.raw()) {
+            h = Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+        }
+        series.frames.push_back(std::move(frame));
+    }
+    return series;
+}
+
+Bytes wcsi_bytes(const csi::CsiSeries& series) {
+    std::ostringstream out;
+    csi::write_trace(out, series);
+    const std::string bytes = std::move(out).str();
+    return Bytes(bytes.begin(), bytes.end());
+}
+
+std::uint64_t get_u64(const Bytes& bytes, std::size_t offset) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+        v |= static_cast<std::uint64_t>(bytes[offset + i]) << (8 * i);
+    }
+    return v;
+}
+
+void put_u32(Bytes& bytes, std::size_t offset, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+        bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
+void put_u64(Bytes& bytes, std::size_t offset, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
+void append_u64(Bytes& bytes, std::uint64_t v) {
+    bytes.resize(bytes.size() + 8);
+    put_u64(bytes, bytes.size() - 8, v);
+}
+
+/// The two WCSI byte regions of a kPredictSeries record whose header
+/// (including any v2 trace extension) is `header_bytes` long.
+struct SeriesRegions {
+    Bytes baseline;
+    Bytes target;
+};
+
+SeriesRegions split_series_record(const Bytes& record,
+                                  std::size_t header_bytes) {
+    SeriesRegions regions;
+    std::size_t at = header_bytes;
+    for (Bytes* region : {&regions.baseline, &regions.target}) {
+        const std::uint64_t size = get_u64(record, at);
+        at += 8;
+        region->assign(record.begin() + static_cast<std::ptrdiff_t>(at),
+                       record.begin() +
+                           static_cast<std::ptrdiff_t>(at + size));
+        at += static_cast<std::size_t>(size);
+    }
+    EXPECT_EQ(at + kWireTrailerBytes, record.size());
+    return regions;
+}
+
+/// Builds an untraced kPredictSeries record around two raw WCSI regions
+/// with every length field and the record CRC consistent, so whatever is
+/// wrong inside a region is left for the inner parser to find.
+Bytes series_record(const Bytes& baseline, const Bytes& target) {
+    Bytes record = {'W', 'S', 'R', 'Q', 1, 0, 0, 0, 2, 0, 0, 0};
+    append_u64(record, 7);  // request id
+    append_u64(record, 16 + baseline.size() + target.size());
+    for (const Bytes* region : {&baseline, &target}) {
+        append_u64(record, region->size());
+        record.insert(record.end(), region->begin(), region->end());
+    }
+    record.resize(record.size() + 4);
+    put_u32(record, record.size() - 4,
+            crc32(record.data(), record.size() - 4));
+    return record;
+}
+
+// Inner WCSI v2 layout of the 3x30 captures (see csi/trace_io.hpp).
+constexpr std::size_t kWcsiHeader = 32;
+constexpr std::size_t kWcsiRecord = 16 + 3 * 30 * 16 + 4;
+
+/// Sets the inner header's frame count and re-stamps its header CRC.
+Bytes with_frame_count(Bytes region, std::uint64_t frames) {
+    put_u64(region, 20, frames);
+    put_u32(region, 28, crc32(region.data(), 28));
+    return region;
+}
 
 Request features_request() {
     Request request;
@@ -49,18 +185,153 @@ TEST(ServeWire, SeriesRequestRoundTrips) {
     request.target = measurement.target;
     const Request decoded = decode_request(encode_request(request));
     EXPECT_EQ(decoded.type, MessageType::kPredictSeries);
-    ASSERT_EQ(decoded.baseline.frames.size(),
-              measurement.baseline.frames.size());
-    ASSERT_EQ(decoded.target.frames.size(),
-              measurement.target.frames.size());
-    // The WCSI container inside the record is lossless: spot-check the
-    // first frame's first (antenna, subcarrier) entry bit-exactly.
-    EXPECT_EQ(decoded.baseline.frames[0].at(0, 0),
-              measurement.baseline.frames[0].at(0, 0));
-    EXPECT_EQ(decoded.target.frames[0].at(0, 0),
-              measurement.target.frames[0].at(0, 0));
-    EXPECT_EQ(decoded.baseline.frames[0].timestamp_s,
-              measurement.baseline.frames[0].timestamp_s);
+    EXPECT_EQ(decoded.request_id, 7u);
+    // The WCSI containers inside the record are lossless.
+    expect_bit_identical(decoded.baseline, measurement.baseline);
+    expect_bit_identical(decoded.target, measurement.target);
+}
+
+TEST(ServeWire, SeriesRequestBytesArePinned) {
+    // Two 20-packet 3x30 captures, the paper's operating point. The size
+    // and the CRC-32 of everything before the trailer pin every byte on
+    // the wire, for the untraced (v1) and traced (v2) framing. (The CRC
+    // of a whole record, trailer included, is the constant CRC residue,
+    // so it would pin nothing.)
+    Request request;
+    request.type = MessageType::kPredictSeries;
+    request.request_id = 7;
+    request.baseline = synthetic_capture(101, 20);
+    request.target = synthetic_capture(202, 20);
+
+    const Bytes v1 = encode_request(request);
+    EXPECT_EQ(v1.size(), 58512u);
+    EXPECT_EQ(crc32(v1.data(), v1.size() - kWireTrailerBytes), 0xB7F33AF0u);
+    EXPECT_EQ(v1, series_record(wcsi_bytes(request.baseline),
+                                wcsi_bytes(request.target)));
+
+    request.trace_id = 0x0123456789ABCDEFull;
+    request.parent_span_id = 0x00FEDCBA98765432ull;
+    const Bytes v2 = encode_request(request);
+    EXPECT_EQ(v2.size(), 58512u + kWireTraceExtBytes);
+    EXPECT_EQ(crc32(v2.data(), v2.size() - kWireTrailerBytes), 0x3FB8A0BFu);
+
+    // Each region is byte-equal to write_trace of the same series.
+    for (const auto& [record, header] :
+         {std::pair{&v1, kWireHeaderBytes},
+          std::pair{&v2, kWireHeaderBytes + kWireTraceExtBytes}}) {
+        const SeriesRegions regions = split_series_record(*record, header);
+        EXPECT_EQ(regions.baseline, wcsi_bytes(request.baseline));
+        EXPECT_EQ(regions.target, wcsi_bytes(request.target));
+        const Request decoded = decode_request(*record);
+        expect_bit_identical(decoded.baseline, request.baseline);
+        expect_bit_identical(decoded.target, request.target);
+    }
+}
+
+// --- CRC-valid damage inside a series region ------------------------------
+//
+// Every record below has a correct outer CRC and consistent outer
+// lengths; only the WCSI container inside one region is wrong, so the
+// inner parser is the one that must reject it.
+
+/// A 3-frame baseline and target, small enough to sweep every byte.
+SeriesRegions small_regions() {
+    return {wcsi_bytes(synthetic_capture(11, 3)),
+            wcsi_bytes(synthetic_capture(12, 3))};
+}
+
+/// Puts `region` in the baseline slot (which = 0) or the target slot and
+/// expects a clean wimi::Error from the inner parser of that region, not
+/// from the outer framing.
+void expect_region_rejected(const SeriesRegions& good, int which,
+                            const Bytes& region) {
+    const Bytes record = which == 0 ? series_record(region, good.target)
+                                    : series_record(good.baseline, region);
+    try {
+        decode_request(record);
+        ADD_FAILURE() << "decoded without an error";
+    } catch (const Error& e) {
+        const std::string expected =
+            which == 0 ? "wire: bad baseline series: "
+                       : "wire: bad target series: ";
+        EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << e.what();
+    }
+}
+
+TEST(ServeWire, SeriesRegionRecordIsWellFormedBeforeDamage) {
+    const SeriesRegions good = small_regions();
+    const Request decoded =
+        decode_request(series_record(good.baseline, good.target));
+    expect_bit_identical(decoded.baseline, synthetic_capture(11, 3));
+    expect_bit_identical(decoded.target, synthetic_capture(12, 3));
+}
+
+TEST(ServeWire, SeriesRegionTruncatedAtEveryByteRejected) {
+    const SeriesRegions good = small_regions();
+    for (int which = 0; which < 2; ++which) {
+        const Bytes& full = which == 0 ? good.baseline : good.target;
+        for (std::size_t keep = 0; keep < full.size(); ++keep) {
+            SCOPED_TRACE("region " + std::to_string(which) +
+                         " keep=" + std::to_string(keep));
+            const Bytes cut(full.begin(),
+                            full.begin() + static_cast<std::ptrdiff_t>(keep));
+            expect_region_rejected(good, which, cut);
+        }
+    }
+}
+
+TEST(ServeWire, SeriesRegionFrameCountMismatchRejected) {
+    const SeriesRegions good = small_regions();
+    for (int which = 0; which < 2; ++which) {
+        const Bytes& full = which == 0 ? good.baseline : good.target;
+        for (const std::uint64_t frames :
+             {std::uint64_t{2}, std::uint64_t{4}, std::uint64_t{1} << 40}) {
+            SCOPED_TRACE("region " + std::to_string(which) +
+                         " frames=" + std::to_string(frames));
+            expect_region_rejected(good, which,
+                                   with_frame_count(full, frames));
+        }
+    }
+}
+
+TEST(ServeWire, SeriesRegionFrameCrcMismatchRejected) {
+    const SeriesRegions good = small_regions();
+    for (int which = 0; which < 2; ++which) {
+        Bytes region = which == 0 ? good.baseline : good.target;
+        region[kWcsiHeader + kWcsiRecord + 40] ^= 0x08;  // frame 1 payload
+        SCOPED_TRACE("region " + std::to_string(which));
+        expect_region_rejected(good, which, region);
+    }
+}
+
+TEST(ServeWire, SeriesRegionNanUnderValidFrameCrcRejected) {
+    const SeriesRegions good = small_regions();
+    for (int which = 0; which < 2; ++which) {
+        Bytes region = which == 0 ? good.baseline : good.target;
+        // Frame 2, first cell's imaginary part; then the frame CRC is
+        // re-stamped, so only the finite-values check can catch it.
+        const std::size_t frame = kWcsiHeader + 2 * kWcsiRecord;
+        put_u64(region, frame + 16 + 8,
+                std::bit_cast<std::uint64_t>(
+                    std::numeric_limits<double>::quiet_NaN()));
+        put_u32(region, frame + kWcsiRecord - 4,
+                crc32(region.data() + frame, kWcsiRecord - 4));
+        SCOPED_TRACE("region " + std::to_string(which));
+        expect_region_rejected(good, which, region);
+    }
+}
+
+TEST(ServeWire, SeriesRegionJunkAfterContainerRejected) {
+    const SeriesRegions good = small_regions();
+    Rng rng(5);
+    for (int which = 0; which < 2; ++which) {
+        Bytes region = which == 0 ? good.baseline : good.target;
+        for (int i = 0; i < 1000; ++i) {
+            region.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+        }
+        SCOPED_TRACE("region " + std::to_string(which));
+        expect_region_rejected(good, which, region);
+    }
 }
 
 TEST(ServeWire, ControlRequestsRoundTrip) {
