@@ -21,8 +21,9 @@ void check_window(std::span<const double> input, std::size_t window) {
 /// order-statistic filter validates its whole input up front.
 void check_finite(std::span<const double> input, const char* what) {
     for (const double v : input) {
-        ensure(std::isfinite(v),
-               std::string(what) + ": input contains a non-finite value");
+        if (!std::isfinite(v)) {
+            fail(std::string(what) + ": input contains a non-finite value");
+        }
     }
 }
 

@@ -15,8 +15,27 @@ namespace {
 /// behavior, not just a wrong answer. Every sorting-based entry point
 /// rejects non-finite input up front instead.
 void ensure_all_finite(std::span<const double> values, const char* what) {
-    ensure(simd::all_finite(values),
-           std::string(what) + ": input contains a non-finite value");
+    if (!simd::all_finite(values)) {
+        fail(std::string(what) + ": input contains a non-finite value");
+    }
+}
+
+/// The one median selection: reorders `values` in place and allocates
+/// nothing. Every order statistic below reaches it, so they share its
+/// checks and messages; simd::median does the selection.
+double select_median(std::span<double> values) {
+    ensure(!values.empty(), "median: input must not be empty");
+    ensure_all_finite(values, "median");
+    return simd::median(values);
+}
+
+/// MAD inside `scratch` (values.size() samples): the median of a copy of
+/// `values`, then the median of the deviations written over that copy.
+double mad_in(std::span<const double> values, std::span<double> scratch) {
+    std::copy(values.begin(), values.end(), scratch.begin());
+    const double med = select_median(scratch);
+    simd::absolute_deviation(values, med, scratch);
+    return select_median(scratch);
 }
 
 }  // namespace
@@ -45,29 +64,24 @@ double sample_variance(std::span<const double> values) {
 }
 
 double median(std::span<const double> values) {
-    ensure(!values.empty(), "median: input must not be empty");
-    ensure_all_finite(values, "median");
-    std::vector<double> sorted(values.begin(), values.end());
-    const std::size_t mid = sorted.size() / 2;
-    std::nth_element(sorted.begin(), sorted.begin() + mid, sorted.end());
-    const double upper = sorted[mid];
-    if (sorted.size() % 2 == 1) {
-        return upper;
-    }
-    const double lower =
-        *std::max_element(sorted.begin(), sorted.begin() + mid);
-    return 0.5 * (lower + upper);
+    std::vector<double> scratch(values.begin(), values.end());
+    return select_median(scratch);
 }
 
 double median_absolute_deviation(std::span<const double> values) {
-    const double med = median(values);
-    std::vector<double> deviations(values.size());
-    simd::absolute_deviation(values, med, deviations);
-    return median(deviations);
+    std::vector<double> scratch(values.size());
+    return mad_in(values, scratch);
 }
 
 double robust_sigma(std::span<const double> values) {
     return median_absolute_deviation(values) / 0.6745;
+}
+
+double robust_sigma(std::span<const double> values,
+                    std::span<double> scratch) {
+    ensure(scratch.size() >= values.size(),
+           "robust_sigma: scratch is shorter than the input");
+    return mad_in(values, scratch.first(values.size())) / 0.6745;
 }
 
 double percentile(std::span<const double> values, double p) {

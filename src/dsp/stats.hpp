@@ -41,6 +41,12 @@ double median_absolute_deviation(std::span<const double> values);
 /// for the wavelet noise threshold per the paper's ref. [24].
 double robust_sigma(std::span<const double> values);
 
+/// robust_sigma(values), selected inside the caller's `scratch` (at least
+/// values.size() samples, overwritten) instead of fresh vectors, so it
+/// allocates nothing. Same result, checks and messages.
+double robust_sigma(std::span<const double> values,
+                    std::span<double> scratch);
+
 /// Linear interpolated percentile; p in [0, 100]. Requires a non-empty,
 /// all-finite input.
 double percentile(std::span<const double> values, double p);

@@ -170,30 +170,34 @@ AtrousDecomposition atrous_decompose(std::span<const double> input,
     // detail-plane subtraction both run through the simd kernels; the
     // atrous_smooth kernel owns the tap weights and the periodic
     // boundary, and is bit-exact between its scalar and vector paths.
-    AtrousDecomposition out;
-    std::vector<double> current(input.begin(), input.end());
+    // Level l smooths its input into plane l + 1 and leaves the detail
+    // (input minus smoothed) in plane l, so each smoothed plane is the
+    // next level's input in place and the last one is the approximation.
+    const std::size_t n = input.size();
+    AtrousDecomposition out{levels, n,
+                            std::vector<double>((levels + 1) * n)};
+    std::span<const double> current = input;
     for (std::size_t level = 0; level < levels; ++level) {
         const std::size_t step = static_cast<std::size_t>(1) << level;
-        std::vector<double> smoothed(input.size());
+        const std::span<double> smoothed = out.plane(level + 1);
         simd::atrous_smooth(current, step, smoothed);
-        std::vector<double> detail(input.size());
-        simd::subtract(current, smoothed, detail);
-        out.details.push_back(std::move(detail));
-        current = std::move(smoothed);
+        simd::subtract(current, smoothed, out.plane(level));
+        current = smoothed;
     }
-    out.approx = std::move(current);
     return out;
 }
 
-std::vector<double> atrous_reconstruct(const AtrousDecomposition& d) {
-    ensure(!d.approx.empty(), "atrous_reconstruct: empty decomposition");
-    std::vector<double> out = d.approx;
-    for (const auto& detail : d.details) {
-        ensure(detail.size() == out.size(),
-               "atrous_reconstruct: inconsistent plane sizes");
-        simd::add_in_place(out, detail);
+void atrous_reconstruct(const AtrousDecomposition& d, std::span<double> out) {
+    ensure(d.length > 0, "atrous_reconstruct: empty decomposition");
+    ensure(d.planes.size() == (d.levels + 1) * d.length,
+           "atrous_reconstruct: inconsistent plane sizes");
+    ensure(out.size() == d.length,
+           "atrous_reconstruct: output length differs from the planes");
+    const auto approx = d.plane(d.levels);
+    std::copy(approx.begin(), approx.end(), out.begin());
+    for (std::size_t level = 0; level < d.levels; ++level) {
+        simd::add_in_place(out, d.plane(level));
     }
-    return out;
 }
 
 }  // namespace wimi::dsp

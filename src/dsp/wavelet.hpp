@@ -52,19 +52,31 @@ DwtDecomposition dwt(std::span<const double> input, Wavelet wavelet,
 std::vector<double> idwt(const DwtDecomposition& decomposition);
 
 /// Result of the undecimated a-trous decomposition:
-/// input = details[0] + details[1] + ... + approx, all of equal length.
+/// input = plane(0) + plane(1) + ... + plane(levels), all `length` long.
+/// plane(l) for l < levels is detail scale l (0 = finest); plane(levels)
+/// is the residual smooth approximation. The planes share one
+/// plane-major allocation.
 struct AtrousDecomposition {
-    std::vector<std::vector<double>> details;  ///< details[0] = finest
-    std::vector<double> approx;                ///< residual smooth
+    std::size_t levels = 0;
+    std::size_t length = 0;
+    std::vector<double> planes;  ///< (levels + 1) * length samples
+
+    std::span<double> plane(std::size_t l) {
+        return std::span<double>(planes).subspan(l * length, length);
+    }
+    std::span<const double> plane(std::size_t l) const {
+        return std::span<const double>(planes).subspan(l * length, length);
+    }
 };
 
 /// Undecimated a-trous transform using the cubic B3-spline smoothing kernel
 /// (1/16)[1 4 6 4 1] with 2^l hole insertion and periodic boundaries.
-/// Requires 1 <= levels and a non-empty input.
+/// Requires 1 <= levels and a non-empty input. Allocates only the planes.
 AtrousDecomposition atrous_decompose(std::span<const double> input,
                                      std::size_t levels);
 
-/// Reconstruction is the plain sum of all detail planes plus the approx.
-std::vector<double> atrous_reconstruct(const AtrousDecomposition& d);
+/// Reconstruction is the plain sum of the approximation and every detail
+/// plane, written into `out` (d.length samples).
+void atrous_reconstruct(const AtrousDecomposition& d, std::span<double> out);
 
 }  // namespace wimi::dsp

@@ -1,8 +1,6 @@
 #include "dsp/wavelet_denoise.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/error.hpp"
 #include "dsp/stats.hpp"
@@ -14,15 +12,6 @@ namespace {
 
 double power(std::span<const double> v) { return simd::sum_squares(v); }
 
-/// Both denoisers estimate the noise floor with robust_sigma, which
-/// rejects non-finite input deep inside the median computation. Checking
-/// at the entry point turns that into an error naming the caller instead
-/// of an opaque "median: ..." failure from inside the decomposition.
-void ensure_all_finite(std::span<const double> values, const char* what) {
-    ensure(simd::all_finite(values),
-           std::string(what) + ": input contains a non-finite value");
-}
-
 }  // namespace
 
 std::vector<double> wavelet_correlation_denoise(
@@ -33,7 +22,13 @@ std::vector<double> wavelet_correlation_denoise(
     ensure(config.levels >= 2,
            "wavelet_correlation_denoise: need at least 2 scales to "
            "correlate adjacent scales");
-    ensure_all_finite(input, "wavelet_correlation_denoise");
+    // robust_sigma would reject non-finite input deep inside the median
+    // computation; checking here names the caller instead of an opaque
+    // "median: ..." failure from inside the decomposition.
+    if (!simd::all_finite(input)) {
+        fail("wavelet_correlation_denoise: input contains a non-finite "
+             "value");
+    }
 
     auto decomposition = atrous_decompose(input, config.levels);
     const std::size_t n = input.size();
@@ -45,6 +40,13 @@ std::vector<double> wavelet_correlation_denoise(
         report->noise_threshold_per_scale.assign(levels, 0.0);
     }
 
+    // The returned series doubles as the call's scratch: it holds the
+    // robust-sigma selections and the Eq. 11 product until the
+    // reconstruction overwrites it, so a call allocates only the planes
+    // and this vector.
+    std::vector<double> out(n);
+    const std::span<double> corr(out);
+
     // An impulse concentrates aligned, large coefficients at the same
     // position on adjacent scales, so its normalized cross-scale
     // correlation (Eq. 12) dominates its magnitude; stationary CSI
@@ -52,18 +54,15 @@ std::vector<double> wavelet_correlation_denoise(
     // Impulse coefficients are zeroed in place (the paper's stage-2 goal
     // is impulse removal), and the clean series is rebuilt from what
     // remains.
-    std::vector<double> corr(n);
     for (std::size_t l = 0; l < levels; ++l) {
-        auto& w_l = decomposition.details[l];
+        const std::span<double> w_l = decomposition.plane(l);
         // The scale adjacent to the coarsest detail plane is the smooth
         // approximation — its structure still tracks the true signal.
-        const std::vector<double>& w_next = (l + 1 < levels)
-                                                ? decomposition.details[l + 1]
-                                                : decomposition.approx;
+        const std::span<const double> w_next = decomposition.plane(l + 1);
 
         // Robust noise power at this scale: sigma_hat from the median of
         // |coefficients| (Donoho–Johnstone via the paper's ref. [24]).
-        const double sigma_hat = robust_sigma(w_l);
+        const double sigma_hat = robust_sigma(w_l, corr);
         const double noise_power = config.noise_threshold_scale *
                                    static_cast<double>(n) * sigma_hat *
                                    sigma_hat;
@@ -71,13 +70,14 @@ std::vector<double> wavelet_correlation_denoise(
             report->noise_threshold_per_scale[l] = noise_power;
         }
 
+        // p_w tracks power(w_l): a pass that zeroes nothing leaves the
+        // plane, and so its power, unchanged.
+        double p_w = power(w_l);
         std::size_t iterations = 0;
-        while (power(w_l) > noise_power &&
-               iterations < config.max_iterations) {
+        while (p_w > noise_power && iterations < config.max_iterations) {
             ++iterations;
             // Eq. 11: element-wise product of adjacent scales.
             simd::multiply(w_l, w_next, corr);
-            const double p_w = power(w_l);
             const double p_corr = power(corr);
             if (p_corr <= 0.0) {
                 break;
@@ -92,43 +92,18 @@ std::vector<double> wavelet_correlation_denoise(
             if (simd::zero_dominated(corr, scale, w_l) == 0) {
                 break;
             }
+            p_w = power(w_l);
         }
         if (report != nullptr) {
             report->iterations_per_scale[l] = iterations;
-            report->residual_power_per_scale[l] = power(w_l);
+            report->residual_power_per_scale[l] = p_w;
         }
     }
 
     // Reconstruct from the residual planes (impulse coefficients removed)
     // plus the smooth approximation.
-    return atrous_reconstruct(decomposition);
-}
-
-std::vector<double> universal_threshold_denoise(std::span<const double> input,
-                                                std::size_t levels) {
-    ensure(input.size() >= 8,
-           "universal_threshold_denoise: need at least 8 samples");
-    ensure_all_finite(input, "universal_threshold_denoise");
-    const std::size_t usable =
-        std::min(levels, max_dwt_levels(input.size() + input.size() % 2,
-                                        Wavelet::kDb2));
-    ensure(usable >= 1,
-           "universal_threshold_denoise: input too short for one level");
-
-    auto decomposition = dwt(input, Wavelet::kDb2, usable);
-    // Noise sigma from the finest detail scale, where signal energy is
-    // minimal for smooth underlying series.
-    const double sigma = robust_sigma(decomposition.details.front());
-    const double threshold =
-        sigma * std::sqrt(2.0 * std::log(static_cast<double>(input.size())));
-    for (auto& level : decomposition.details) {
-        for (double& w : level) {
-            const double mag = std::abs(w);
-            w = (mag <= threshold) ? 0.0
-                                   : std::copysign(mag - threshold, w);
-        }
-    }
-    return idwt(decomposition);
+    atrous_reconstruct(decomposition, out);
+    return out;
 }
 
 }  // namespace wimi::dsp

@@ -54,11 +54,4 @@ std::vector<double> wavelet_correlation_denoise(
     std::span<const double> input, const WaveletDenoiseConfig& config = {},
     WaveletDenoiseReport* report = nullptr);
 
-/// Baseline for comparison: classical soft-threshold denoising with the
-/// Donoho–Johnstone universal threshold sigma * sqrt(2 ln N) on the
-/// decimated DWT. Not used by the WiMi pipeline itself. Requires >= 8
-/// all-finite samples; throws wimi::Error otherwise.
-std::vector<double> universal_threshold_denoise(std::span<const double> input,
-                                                std::size_t levels);
-
 }  // namespace wimi::dsp

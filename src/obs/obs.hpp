@@ -39,7 +39,7 @@
 
 #define WIMI_TRACE_SPAN(name) WIMI_OBS_VOID_(name)
 #define WIMI_OBS_COUNT(name, n) \
-    static_cast<void>(sizeof(((void)(name), (void)(n), 0)))
+    static_cast<void>(sizeof(((void)("" name), (void)(n), 0)))
 #define WIMI_OBS_GAUGE_SET(name, value) \
     static_cast<void>(sizeof(((void)(name), (void)(value), 0)))
 #define WIMI_OBS_HISTOGRAM(name, value) \
@@ -73,11 +73,17 @@
 #define WIMI_TRACE_SPAN(name) \
     ::wimi::obs::TraceSpan WIMI_OBS_CONCAT_(wimi_obs_span_, __LINE__)(name)
 
-#define WIMI_OBS_COUNT(name, n)                               \
-    do {                                                      \
-        if (::wimi::obs::enabled()) {                         \
-            ::wimi::obs::registry().counter(name).add(n);     \
-        }                                                     \
+// Each site looks its counter up once and keeps the reference (registry
+// references are stable, see obs/metrics.hpp), so a hot counter costs an
+// atomic add instead of a mutex and a map walk. The name must be a string
+// literal ("" name does not compile otherwise): one site, one counter.
+#define WIMI_OBS_COUNT(name, n)                                      \
+    do {                                                             \
+        if (::wimi::obs::enabled()) {                                \
+            static ::wimi::obs::Counter& wimi_obs_counter_ =         \
+                ::wimi::obs::registry().counter("" name);            \
+            wimi_obs_counter_.add(n);                                \
+        }                                                            \
     } while (0)
 
 #define WIMI_OBS_GAUGE_SET(name, value)                       \

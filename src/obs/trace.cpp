@@ -24,7 +24,10 @@ double to_us(std::chrono::steady_clock::time_point t) {
 struct ThreadBuffer;
 
 /// Global rendezvous of all thread buffers. Spans from threads that have
-/// exited are preserved in `retired`.
+/// exited are preserved in `retired`, the newest kRingCapacity of them:
+/// exited threads share one ring's worth of history, so a process that
+/// keeps starting short-lived threads (a daemon's connection threads, a
+/// client's per-burst senders) holds bounded span memory.
 struct Collector {
     std::mutex mutex;
     std::vector<ThreadBuffer*> live;
@@ -65,6 +68,11 @@ struct ThreadBuffer {
         c.retired.insert(c.retired.end(),
                          std::make_move_iterator(events.begin()),
                          std::make_move_iterator(events.end()));
+        if (c.retired.size() > kRingCapacity) {
+            c.retired.erase(c.retired.begin(),
+                            c.retired.end() -
+                                static_cast<long>(kRingCapacity));
+        }
         if (!name.empty()) {
             c.retired_names.emplace_back(tid, std::move(name));
         }

@@ -84,7 +84,8 @@ private:
 };
 
 /// Per-thread ring capacity: once a thread has this many finished spans,
-/// the oldest are overwritten.
+/// the oldest are overwritten. Threads that have exited share one more
+/// history of this size, holding their newest spans.
 std::size_t trace_ring_capacity() noexcept;
 
 /// Microseconds elapsed since the process trace epoch — the same clock
@@ -108,8 +109,8 @@ void set_thread_name(std::string name);
 /// exited, sorted by tid.
 std::vector<std::pair<std::uint32_t, std::string>> trace_thread_names();
 
-/// All finished spans from every thread (live and exited), sorted by
-/// start time.
+/// All finished spans from every thread (live rings, and the exited
+/// threads' shared history), sorted by start time.
 std::vector<TraceEvent> trace_snapshot();
 
 /// Drops all recorded spans (live rings and retired threads).

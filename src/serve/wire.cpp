@@ -253,7 +253,9 @@ void read_exact(int fd, std::uint8_t* data, std::size_t size,
             throw Error(std::string("wire: read failed (") +
                         std::strerror(errno) + ") in " + what);
         }
-        ensure(n != 0, std::string("wire: connection closed mid-") + what);
+        if (n == 0) {
+            fail(std::string("wire: connection closed mid-") + what);
+        }
         done += static_cast<std::size_t>(n);
     }
 }

@@ -1,10 +1,13 @@
 #include "simd/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "simd/simd.hpp"
 
@@ -307,6 +310,209 @@ void absolute_deviation(std::span<const double> x, double center,
     }
 }
 
+namespace {
+
+/// Pivots drawn per round of the vector median.
+constexpr std::size_t kMedianSample = 16;
+
+/// Batcher's odd-even merge sort on kMedianSample slots as a list of
+/// compare-exchange pairs, built at compile time.
+struct SortNetwork {
+    std::size_t size = 0;
+    std::array<std::uint8_t, 64> lo{};
+    std::array<std::uint8_t, 64> hi{};
+};
+
+constexpr SortNetwork odd_even_merge_network() {
+    constexpr std::size_t n = kMedianSample;
+    SortNetwork net;
+    for (std::size_t p = 1; p < n; p <<= 1) {
+        for (std::size_t k = p; k >= 1; k >>= 1) {
+            for (std::size_t j = k % p; j + k < n; j += 2 * k) {
+                for (std::size_t i = 0; i < std::min(k, n - j - k); ++i) {
+                    if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+                        net.lo[net.size] = static_cast<std::uint8_t>(i + j);
+                        net.hi[net.size] =
+                            static_cast<std::uint8_t>(i + j + k);
+                        ++net.size;
+                    }
+                }
+            }
+        }
+    }
+    return net;
+}
+
+constexpr SortNetwork kSampleNetwork = odd_even_merge_network();
+
+/// Expanded pair by pair, so the sort is straight-line min/max code
+/// with no branch on the data.
+template <std::size_t... C>
+void sort_sample(double* s, std::index_sequence<C...>) {
+    const auto exchange = [](double& a, double& b) {
+        const double lo = std::min(a, b);
+        const double hi = std::max(a, b);
+        a = lo;
+        b = hi;
+    };
+    (exchange(s[kSampleNetwork.lo[C]], s[kSampleNetwork.hi[C]]), ...);
+}
+
+/// #{x[i] <= p}, lane-parallel.
+std::size_t count_at_most(const double* x, std::size_t n, double p) {
+    const vd vp = vd::broadcast(p);
+    const vd one = vd::broadcast(1.0);
+    const vd zero = vd::zero();
+    vd tally = zero;
+    std::size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        tally = tally + blend_ge(vp, vd::load(x + i), one, zero);
+    }
+    auto count = static_cast<std::size_t>(tally.hsum_ordered());
+    for (; i < n; ++i) {
+        count += x[i] <= p ? 1 : 0;
+    }
+    return count;
+}
+
+/// #{x[i] < p}, lane-parallel.
+std::size_t count_below(const double* x, std::size_t n, double p) {
+    const vd vp = vd::broadcast(p);
+    const vd one = vd::broadcast(1.0);
+    const vd zero = vd::zero();
+    vd tally = zero;
+    std::size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        tally = tally + blend_ge(vd::load(x + i), vp, zero, one);
+    }
+    auto count = static_cast<std::size_t>(tally.hsum_ordered());
+    for (; i < n; ++i) {
+        count += x[i] < p ? 1 : 0;
+    }
+    return count;
+}
+
+/// Largest x[i] < p, lane-parallel (-inf when there is none).
+double max_below(const double* x, std::size_t n, double p) {
+    const double none = -std::numeric_limits<double>::infinity();
+    const vd vp = vd::broadcast(p);
+    const vd vnone = vd::broadcast(none);
+    vd acc = vnone;
+    std::size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        const vd v = vd::load(x + i);
+        acc = max(acc, blend_ge(v, vp, vnone, v));
+    }
+    double best = none;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        best = std::max(best, acc.lane(lane));
+    }
+    for (; i < n; ++i) {
+        best = x[i] < p ? std::max(best, x[i]) : best;
+    }
+    return best;
+}
+
+/// The vector path of median(): the upper middle order statistic is
+/// rank t of the candidates c[0, m), and the lower middle is rank t - 1
+/// or, when t is 0, the largest value dropped below them. Each round
+/// sorts a strided sample of the candidates, binary-searches it with
+/// rank counts for the pivots that bracket rank t, and keeps only the
+/// candidates strictly inside. Every sampled value falls outside the
+/// bracket, so a round always shrinks the set, and a round that keeps
+/// more than half of it hands the rest to std::nth_element.
+double vector_median(std::span<double> values) {
+    const double inf = std::numeric_limits<double>::infinity();
+    double* c = values.data();
+    const std::size_t n = values.size();
+    const bool even = n % 2 == 0;
+    std::size_t m = n;
+    std::size_t t = n / 2;
+    double dropped_max = -inf;  // largest value dropped below the bracket
+    double upper = 0.0;         // rank t
+    double lower = 0.0;         // rank t - 1, read only when n is even
+    for (;;) {
+        const std::size_t s = std::min(m, kMedianSample);
+        const std::size_t stride = m / s;
+        double sample[kMedianSample];
+        for (std::size_t j = 0; j < kMedianSample; ++j) {
+            sample[j] = j < s ? c[j * stride] : inf;
+        }
+        sort_sample(sample, std::make_index_sequence<kSampleNetwork.size>{});
+        if (s == m) {  // the sample is every candidate
+            upper = sample[t];
+            lower = t > 0 ? sample[t - 1] : dropped_max;
+            break;
+        }
+        // First pivot with more than t candidates at or below it.
+        std::size_t first = 0;
+        std::size_t last = s;
+        std::size_t at_or_below = 0;  // rank count of sample[first - 1]
+        while (first < last) {
+            const std::size_t mid = (first + last) / 2;
+            const std::size_t rank = count_at_most(c, m, sample[mid]);
+            if (rank > t) {
+                last = mid;
+            } else {
+                first = mid + 1;
+                at_or_below = rank;
+            }
+        }
+        if (first < s) {
+            const std::size_t under = count_below(c, m, sample[first]);
+            if (under <= t) {  // rank t holds this pivot's value
+                upper = sample[first];
+                if (even) {
+                    lower = under < t    ? upper
+                            : under == 0 ? dropped_max
+                                         : max_below(c, m, upper);
+                }
+                break;
+            }
+        }
+        const double a = first > 0 ? sample[first - 1] : -inf;
+        const double b = first < s ? sample[first] : inf;
+        if (first > 0) {
+            dropped_max = a;
+        }
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < m; ++i) {
+            const double x = c[i];
+            c[kept] = x;
+            kept += static_cast<std::size_t>((a < x) & (x < b));
+        }
+        t -= at_or_below;
+        if (2 * kept > m) {
+            std::nth_element(c, c + t, c + kept);
+            upper = c[t];
+            if (even) {
+                lower = t > 0 ? *std::max_element(c, c + t) : dropped_max;
+            }
+            break;
+        }
+        m = kept;
+    }
+    return even ? 0.5 * (lower + upper) : upper;
+}
+
+}  // namespace
+
+double median(std::span<double> values, Path path) {
+    assert(!values.empty());
+    if (use_vector(path)) {
+        return vector_median(values);
+    }
+    const std::size_t mid = values.size() / 2;
+    std::nth_element(values.begin(), values.begin() + mid, values.end());
+    const double upper = values[mid];
+    if (values.size() % 2 == 1) {
+        return upper;
+    }
+    const double lower =
+        *std::max_element(values.begin(), values.begin() + mid);
+    return 0.5 * (lower + upper);
+}
+
 std::size_t zero_dominated(std::span<const double> corr, double scale,
                            std::span<double> w, Path path) {
     assert(corr.size() == w.size());
@@ -410,12 +616,21 @@ namespace {
 constexpr double kAtrous[5] = {1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0,
                                4.0 / 16.0, 1.0 / 16.0};
 
+/// One periodic output. `step` must already be reduced into [0, n), so
+/// every tap index i + k*step lies in (-2n, 3n) and at most two wraps
+/// bring it into [0, n): the index ((idx % n) + n) % n would give,
+/// without a division.
 double atrous_one(const double* x, std::ptrdiff_t n, std::ptrdiff_t i,
                   std::ptrdiff_t step) {
     double acc = 0.0;
-    for (std::size_t k = 0; k < 5; ++k) {
-        std::ptrdiff_t idx = i + (static_cast<std::ptrdiff_t>(k) - 2) * step;
-        idx = ((idx % n) + n) % n;
+    for (std::ptrdiff_t k = 0; k < 5; ++k) {
+        std::ptrdiff_t idx = i + (k - 2) * step;
+        while (idx < 0) {
+            idx += n;
+        }
+        while (idx >= n) {
+            idx -= n;
+        }
         acc += kAtrous[k] * x[idx];
     }
     return acc;
@@ -428,9 +643,15 @@ void atrous_smooth(std::span<const double> x, std::size_t step,
     assert(x.size() == out.size() && step >= 1);
     const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
     const std::ptrdiff_t s = static_cast<std::ptrdiff_t>(step);
+    if (n == 0) {
+        return;
+    }
     if (!use_vector(path) || n <= 4 * s) {
+        // The taps are periodic in n, so a hole spacing of n or more
+        // (a series shorter than the coarsest step) reduces once per pass.
+        const std::ptrdiff_t r = s < n ? s : s % n;
         for (std::ptrdiff_t i = 0; i < n; ++i) {
-            out[static_cast<std::size_t>(i)] = atrous_one(x.data(), n, i, s);
+            out[static_cast<std::size_t>(i)] = atrous_one(x.data(), n, i, r);
         }
         return;
     }

@@ -12,7 +12,8 @@
 //   bit-exact (vector == scalar on every input):
 //     multiply, subtract, scale, divide, absolute_deviation,
 //     atrous_smooth, sliding_median, biquad_cascade, zero_dominated,
-//     squared_distance_columns, dot_columns, all_finite (predicate)
+//     squared_distance_columns, dot_columns, all_finite (predicate),
+//     median (up to the sign of a zero that ties with its opposite)
 //   tolerance-gated (vector reassociates or uses a different but
 //   correctly-rounded-per-op formula; drift covered by simd.* rules in
 //   bench/baselines/rules.json):
@@ -100,6 +101,20 @@ void divide(std::span<const double> x, double d, std::span<double> out,
 void absolute_deviation(std::span<const double> x, double center,
                         std::span<double> out, Path path = Path::kAuto);
 
+/// Median of `values`: the middle order statistic, or the mean of the
+/// two middle ones for an even count. `values` is the caller's scratch
+/// and is reordered. Requires a non-empty, NaN-free input (the dsp order
+/// statistics check both). Scalar path: std::nth_element at the middle
+/// plus the largest value below it (the legacy dsp::median). Vector
+/// path: pivots from a sorted sample of the candidates and lane-parallel
+/// rank counts bracket the middle, and only the candidates strictly
+/// inside the bracket go on to the next round; a round that keeps more
+/// than half of them finishes with std::nth_element. Both paths select
+/// the same order statistics, so the result is bit-exact, except that
+/// when -0.0 and +0.0 tie in the middle either may be returned (as
+/// std::nth_element already leaves open).
+double median(std::span<double> values, Path path = Path::kAuto);
+
 /// The impulse-extraction step of the wavelet-correlation denoiser
 /// (WiMi Eq. 13): for every m with w[m] != 0 and
 /// |corr[m] * scale| >= |w[m]|, set w[m] = 0.0. Returns the number of
@@ -127,9 +142,10 @@ void complex_ratio(std::span<const double> re1, std::span<const double> im1,
 /// Periodic 5-tap a-trous B3-spline smoothing pass:
 ///   out[i] = (x[i-2s] + 4 x[i-s] + 6 x[i] + 4 x[i+s] + x[i+2s]) / 16
 /// with periodic index wrap-around and tap accumulation in tap order
-/// (the legacy dsp::wavelet order). Vector path lifts the modulo out of
-/// the interior span and runs it wide; boundaries stay scalar. Bit-exact
-/// across paths.
+/// (the legacy dsp::wavelet order). Boundary taps wrap by compare and
+/// add, never by integer division. Vector path runs the interior span,
+/// which needs no wrap, wide; boundaries stay scalar. Bit-exact across
+/// paths.
 void atrous_smooth(std::span<const double> x, std::size_t step,
                    std::span<double> out, Path path = Path::kAuto);
 

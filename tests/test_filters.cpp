@@ -170,7 +170,13 @@ TEST(FiltersEdgeCases, MedianFilterRejectsNonFinite) {
     const double inf = std::numeric_limits<double>::infinity();
     for (const double bad : {nan, inf, -inf}) {
         const std::vector<double> v = {1.0, 2.0, bad, 4.0, 5.0};
-        EXPECT_THROW(median_filter(v, 3), Error);
+        try {
+            median_filter(v, 3);
+            ADD_FAILURE() << "median_filter accepted " << bad;
+        } catch (const Error& e) {
+            EXPECT_STREQ(e.what(),
+                         "median_filter: input contains a non-finite value");
+        }
     }
 }
 

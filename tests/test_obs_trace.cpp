@@ -148,6 +148,28 @@ TEST(ObsTrace, RingKeepsNewestSpansWhenFull) {
     trace_reset();
 }
 
+TEST(ObsTrace, ExitedThreadsShareOneRingOfHistory) {
+    set_enabled(true);
+    trace_reset();
+    const std::size_t capacity = trace_ring_capacity();
+    // Three short-lived threads, each with over half a ring of spans:
+    // together they exceed what exited threads may keep, so the first
+    // thread's spans go and the last thread's all stay.
+    for (const char* name : {"first", "second", "third"}) {
+        std::thread worker([capacity, name] {
+            for (std::size_t i = 0; i < capacity / 2 + 1; ++i) {
+                TraceSpan span(name);
+                static_cast<void>(span);
+            }
+        });
+        worker.join();
+    }
+    EXPECT_EQ(trace_snapshot().size(), capacity);
+    EXPECT_TRUE(events_named("first").empty());
+    EXPECT_EQ(events_named("third").size(), capacity / 2 + 1);
+    trace_reset();
+}
+
 TEST(ObsTrace, ThreadsGetDistinctTids) {
     set_enabled(true);
     trace_reset();

@@ -7,12 +7,16 @@
 #include "serve/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -171,6 +175,30 @@ TEST(ServeWire, FeaturesRequestRoundTrips) {
     EXPECT_EQ(decoded.type, MessageType::kPredictFeatures);
     EXPECT_EQ(decoded.request_id, request.request_id);
     EXPECT_EQ(decoded.features, request.features);
+}
+
+// A peer that hangs up inside a record gets an error naming the part it
+// cut (read over a socketpair whose writer closes mid-record).
+TEST(ServeWire, ReadRecordNamesWhereTheConnectionClosed) {
+    const std::vector<std::uint8_t> record =
+        encode_request(features_request());
+    const std::pair<std::size_t, const char*> cuts[] = {
+        {kWireHeaderBytes / 2, "wire: connection closed mid-record header"},
+        {kWireHeaderBytes + 5, "wire: connection closed mid-record body"},
+    };
+    for (const auto& [cut, message] : cuts) {
+        int fds[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        write_record(fds[0], std::span(record).first(cut));
+        ::close(fds[0]);
+        try {
+            read_record(fds[1], "WSRQ");
+            ADD_FAILURE() << "read a record cut at byte " << cut;
+        } catch (const Error& e) {
+            EXPECT_STREQ(e.what(), message);
+        }
+        ::close(fds[1]);
+    }
 }
 
 TEST(ServeWire, SeriesRequestRoundTrips) {

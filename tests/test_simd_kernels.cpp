@@ -240,6 +240,39 @@ TEST(SimdKernels, AtrousSmoothBitExactAllStepsAndSizes) {
     }
 }
 
+// The test above compares the two paths with each other, and both share
+// the boundary helper, so it cannot catch a wrong periodic wrap. This one
+// checks both against an independent modulo-index loop, with steps up to
+// and past the series length so taps wrap more than one period.
+TEST(SimdKernels, AtrousSmoothMatchesModuloReference) {
+    constexpr double kTaps[5] = {1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0,
+                                 4.0 / 16.0, 1.0 / 16.0};
+    Rng rng(112);
+    for (std::size_t n = 1; n <= 64; ++n) {
+        const auto x = fuzz_vector(rng, n);
+        const auto sn = static_cast<std::ptrdiff_t>(n);
+        for (const std::size_t step : {1u, 2u, 4u, 8u, 16u, 32u}) {
+            std::vector<double> want(n);
+            for (std::ptrdiff_t i = 0; i < sn; ++i) {
+                double acc = 0.0;
+                for (std::ptrdiff_t k = 0; k < 5; ++k) {
+                    std::ptrdiff_t idx =
+                        i + (k - 2) * static_cast<std::ptrdiff_t>(step);
+                    idx = ((idx % sn) + sn) % sn;
+                    acc += kTaps[k] * x[static_cast<std::size_t>(idx)];
+                }
+                want[static_cast<std::size_t>(i)] = acc;
+            }
+            std::vector<double> scalar_out(n);
+            std::vector<double> vector_out(n);
+            atrous_smooth(x, step, scalar_out, Path::kScalar);
+            atrous_smooth(x, step, vector_out, Path::kVector);
+            expect_bitwise_equal(want, scalar_out, "atrous_smooth scalar", n);
+            expect_bitwise_equal(want, vector_out, "atrous_smooth vector", n);
+        }
+    }
+}
+
 TEST(SimdKernels, BiquadCascadeBitExact) {
     Rng rng(103);
     // A plausible low-pass-ish two-section cascade plus a section with
@@ -476,6 +509,128 @@ TEST(SimdKernels, AbsoluteDeviationBitExact) {
                 EXPECT_FALSE(std::signbit(v));
             }
         }
+    }
+}
+
+/// The median by full sort: the middle value, or the mean of the two
+/// middle values for an even count.
+double sorted_median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// Both paths of median() on their own copies of `x`, against the sort
+/// reference: equal values, and equal bits whenever no zero of the
+/// other sign could tie at the middle.
+void expect_median_paths_agree(const std::vector<double>& x,
+                               const char* what) {
+    auto scalar_scratch = x;
+    auto vector_scratch = x;
+    const double scalar = median(scalar_scratch, Path::kScalar);
+    const double vector = median(vector_scratch, Path::kVector);
+    const double reference = sorted_median(x);
+    ASSERT_EQ(scalar, reference) << what << " n=" << x.size();
+    ASSERT_EQ(vector, reference) << what << " n=" << x.size();
+    const bool mixed_zeros =
+        std::any_of(x.begin(), x.end(),
+                    [](double v) { return v == 0.0 && std::signbit(v); }) &&
+        std::any_of(x.begin(), x.end(),
+                    [](double v) { return v == 0.0 && !std::signbit(v); });
+    if (!mixed_zeros) {
+        ASSERT_EQ(std::signbit(scalar), std::signbit(vector))
+            << what << " n=" << x.size();
+    }
+}
+
+TEST(SimdKernels, MedianMatchesSortReferenceOnBothPaths) {
+    Rng rng(131);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 300; ++n) {
+        sizes.push_back(n);
+    }
+    for (const std::size_t n : {511u, 512u, 1023u, 1024u, 1025u, 4099u}) {
+        sizes.push_back(n);
+    }
+    for (const std::size_t n : sizes) {
+        auto wide = fuzz_vector(rng, n);
+        expect_median_paths_agree(wide, "fuzz");
+        // Few distinct values: ties at, above and below the middle.
+        std::vector<double> ties(n);
+        for (double& v : ties) {
+            v = static_cast<double>(rng.uniform_index(4));
+        }
+        expect_median_paths_agree(ties, "ties");
+        expect_median_paths_agree(std::vector<double>(n, 2.5), "flat");
+        std::vector<double> ramp(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ramp[i] = static_cast<double>(i % 7 == 0 ? n - i : i);
+        }
+        expect_median_paths_agree(ramp, "ramp");
+        std::sort(ramp.begin(), ramp.end());
+        expect_median_paths_agree(ramp, "ascending");
+        std::reverse(ramp.begin(), ramp.end());
+        expect_median_paths_agree(ramp, "descending");
+        // Noise with a few impulses, the wavelet planes' shape.
+        std::vector<double> spiky(n);
+        for (double& v : spiky) {
+            v = rng.gaussian(0.0, 0.1);
+            if (rng.uniform_index(20) == 0) {
+                v += rng.uniform_index(2) == 0 ? 40.0 : -40.0;
+            }
+        }
+        expect_median_paths_agree(spiky, "spiky");
+    }
+}
+
+TEST(SimdKernels, MedianExhaustiveSmallTuples) {
+    // Every tuple over a three-value alphabet up to length 8, so each
+    // tie pattern around the middle rank occurs.
+    for (std::size_t n = 1; n <= 8; ++n) {
+        std::size_t combos = 1;
+        for (std::size_t i = 0; i < n; ++i) {
+            combos *= 3;
+        }
+        for (std::size_t code = 0; code < combos; ++code) {
+            std::vector<double> x(n);
+            std::size_t c = code;
+            for (std::size_t i = 0; i < n; ++i) {
+                x[i] = static_cast<double>(c % 3);
+                c /= 3;
+            }
+            expect_median_paths_agree(x, "tuple");
+        }
+    }
+}
+
+TEST(SimdKernels, MedianWhenTheSampleMissesTheMiddle) {
+    // The vector path samples every (n / 16)-th candidate. Put the
+    // largest values exactly there, so the first bracket keeps far more
+    // than half of the candidates and the round hands over to
+    // std::nth_element; and the mirror image with the smallest values.
+    for (const std::size_t n : {64u, 100u, 256u, 1000u}) {
+        const std::size_t stride = n / 16;
+        for (const double sign : {1.0, -1.0}) {
+            std::vector<double> x(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                x[i] = sign * (i % stride == 0 && i / stride < 16
+                                   ? 1000.0 + static_cast<double>(i)
+                                   : static_cast<double>((i * 37) % n));
+            }
+            expect_median_paths_agree(x, "adversarial");
+        }
+    }
+}
+
+TEST(SimdKernels, MedianSignedZeroTiesAgreeInValue) {
+    Rng rng(133);
+    for (std::size_t n = 1; n <= 80; ++n) {
+        std::vector<double> x(n);
+        for (double& v : x) {
+            const std::size_t pick = rng.uniform_index(4);
+            v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.gaussian(0.0, 1.0);
+        }
+        expect_median_paths_agree(x, "signed zeros");
     }
 }
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -152,18 +155,67 @@ TEST_P(StatsProperty, InvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(RandomInputs, StatsProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
 
+/// Runs `call`, which must throw wimi::Error, and returns its message.
+template <typename Call>
+std::string error_message(Call&& call) {
+    try {
+        call();
+    } catch (const Error& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "no wimi::Error thrown";
+    return {};
+}
+
 TEST(StatsEdgeCases, OrderStatisticsRejectNonFinite) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
+    const std::string median_message =
+        "median: input contains a non-finite value";
+    const std::string gate_message =
+        "sigma_outlier_indices: input contains a non-finite value";
     for (const double bad : {nan, inf, -inf}) {
         const std::vector<double> v = {1.0, bad, 3.0};
-        EXPECT_THROW(median(v), Error);
-        EXPECT_THROW(median_absolute_deviation(v), Error);
-        EXPECT_THROW(robust_sigma(v), Error);
-        EXPECT_THROW(percentile(v, 50.0), Error);
-        EXPECT_THROW(sigma_outlier_indices(v, 3.0), Error);
-        EXPECT_THROW(reject_sigma_outliers(v, 3.0), Error);
+        std::vector<double> scratch(v.size());
+        EXPECT_EQ(error_message([&] { median(v); }), median_message);
+        EXPECT_EQ(error_message([&] { median_absolute_deviation(v); }),
+                  median_message);
+        EXPECT_EQ(error_message([&] { robust_sigma(v); }), median_message);
+        EXPECT_EQ(error_message([&] { robust_sigma(v, scratch); }),
+                  median_message);
+        EXPECT_EQ(error_message([&] { percentile(v, 50.0); }),
+                  "percentile: input contains a non-finite value");
+        EXPECT_EQ(error_message([&] { sigma_outlier_indices(v, 3.0); }),
+                  gate_message);
+        EXPECT_EQ(error_message([&] { reject_sigma_outliers(v, 3.0); }),
+                  gate_message);
     }
+}
+
+TEST(StatsEdgeCases, RobustSigmaInScratchMatchesAllocatingForm) {
+    Rng rng(41);
+    for (std::size_t n = 1; n <= 64; ++n) {
+        std::vector<double> v(n);
+        for (double& x : v) {
+            // Ties and signed zeros included: selection must not care
+            // where it runs.
+            x = rng.bernoulli(0.2) ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+                                   : rng.gaussian(0.0, 3.0);
+        }
+        std::vector<double> scratch(n + 3, 7.0);  // longer is allowed
+        const double expected = robust_sigma(v);
+        const double got = robust_sigma(v, scratch);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "n=" << n;
+    }
+    const std::vector<double> v = {1.0, 2.0, 3.0};
+    std::vector<double> short_scratch(2);
+    EXPECT_EQ(error_message([&] { robust_sigma(v, short_scratch); }),
+              "robust_sigma: scratch is shorter than the input");
+    std::vector<double> none;
+    EXPECT_EQ(error_message([&] { robust_sigma(none, none); }),
+              "median: input must not be empty");
 }
 
 TEST(StatsEdgeCases, MomentsPropagateNonFinite) {

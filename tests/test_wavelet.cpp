@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -136,11 +138,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Atrous, PlanesSumToInput) {
     const auto x = random_signal(100, 5);
     const auto d = atrous_decompose(x, 4);
-    EXPECT_EQ(d.details.size(), 4u);
-    for (const auto& plane : d.details) {
-        EXPECT_EQ(plane.size(), x.size());
-    }
-    const auto back = atrous_reconstruct(d);
+    EXPECT_EQ(d.levels, 4u);
+    EXPECT_EQ(d.length, x.size());
+    EXPECT_EQ(d.planes.size(), 5 * x.size());
+    std::vector<double> back(x.size());
+    atrous_reconstruct(d, back);
     EXPECT_LT(max_abs_diff(x, back), 1e-12);
 }
 
@@ -151,13 +153,13 @@ TEST(Atrous, SmoothSignalConcentratesInApprox) {
     }
     const auto d = atrous_decompose(x, 4);
     double detail_energy = 0.0;
-    for (const auto& plane : d.details) {
-        for (const double v : plane) {
+    for (std::size_t l = 0; l < d.levels; ++l) {
+        for (const double v : d.plane(l)) {
             detail_energy += v * v;
         }
     }
     double approx_energy = 0.0;
-    for (const double v : d.approx) {
+    for (const double v : d.plane(d.levels)) {
         approx_energy += v * v;
     }
     EXPECT_GT(approx_energy, 10.0 * detail_energy);
@@ -168,11 +170,11 @@ TEST(Atrous, ImpulseConcentratesInFineDetail) {
     x[64] = 1.0;
     const auto d = atrous_decompose(x, 4);
     double fine = 0.0;
-    for (const double v : d.details[0]) {
+    for (const double v : d.plane(0)) {
         fine += v * v;
     }
     double coarse = 0.0;
-    for (const double v : d.details[3]) {
+    for (const double v : d.plane(3)) {
         coarse += v * v;
     }
     EXPECT_GT(fine, coarse);
@@ -182,6 +184,36 @@ TEST(Atrous, Validation) {
     EXPECT_THROW(atrous_decompose({}, 2), Error);
     const std::vector<double> x = {1.0, 2.0};
     EXPECT_THROW(atrous_decompose(x, 0), Error);
+}
+
+/// The planes are public fields, so reconstruction re-checks that they
+/// hold levels + 1 planes of `length` before reading any of them.
+TEST(Atrous, ReconstructRejectsInconsistentPlanes) {
+    const auto x = random_signal(16, 3);
+    auto d = atrous_decompose(x, 3);
+    std::vector<double> out(x.size());
+    const auto message_of = [&](const AtrousDecomposition& bad,
+                                std::span<double> target) {
+        try {
+            atrous_reconstruct(bad, target);
+        } catch (const Error& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    d.planes.pop_back();
+    EXPECT_EQ(message_of(d, out),
+              "atrous_reconstruct: inconsistent plane sizes");
+    d.planes.resize(4 * x.size());
+    d.levels = 4;
+    EXPECT_EQ(message_of(d, out),
+              "atrous_reconstruct: inconsistent plane sizes");
+    d.levels = 3;
+    std::vector<double> short_out(x.size() - 1);
+    EXPECT_EQ(message_of(d, short_out),
+              "atrous_reconstruct: output length differs from the planes");
+    EXPECT_EQ(message_of(AtrousDecomposition{}, out),
+              "atrous_reconstruct: empty decomposition");
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 //                                          over the trace (or, with
 //                                          --follow, tail it while it grows)
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <iostream>
@@ -44,6 +45,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -338,11 +340,25 @@ int cmd_pipeline_profile(const std::string& path,
         // debug, so this stage is also the live demonstration of
         // cross-thread trace-context propagation: worker spans resolve
         // to pipeline.denoise's trace (wimi_obs trace-check verifies).
+        // The calling thread works its own fan-out and, on a loaded host,
+        // could drain every task before a worker wakes, leaving no worker
+        // span to verify. So when the fan-out is parallel at all, the
+        // caller's first task waits until a worker has started one.
         {
             WIMI_TRACE_SPAN("pipeline.denoise");
+            const std::size_t subcarriers = series.subcarrier_count();
+            const std::thread::id caller = std::this_thread::get_id();
+            std::atomic<bool> worker_started{subcarriers < 2 ||
+                                             exec::thread_count() < 2};
             exec::parallel_for(
-                series.subcarrier_count(),
+                subcarriers,
                 [&](std::size_t sc) {
+                    if (std::this_thread::get_id() != caller) {
+                        worker_started.store(true);
+                        worker_started.notify_one();
+                    } else {
+                        worker_started.wait(false);
+                    }
                     WIMI_TRACE_SPAN("pipeline.denoise.subcarrier");
                     core::denoised_amplitude_ratio(series, pairs.front(),
                                                    sc, {});
