@@ -42,8 +42,11 @@ std::uint32_t load_u32_le(const unsigned char* p) noexcept {
            (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-std::uint32_t advance(std::uint32_t state, const unsigned char* bytes,
-                      std::size_t size) noexcept {
+}  // namespace
+
+std::uint32_t crc32(const void* data, std::size_t size) noexcept {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    std::uint32_t state = 0xFFFFFFFFu;
     for (; size >= 8; bytes += 8, size -= 8) {
         const std::uint32_t lo = state ^ load_u32_le(bytes);
         const std::uint32_t hi = load_u32_le(bytes + 4);
@@ -56,20 +59,7 @@ std::uint32_t advance(std::uint32_t state, const unsigned char* bytes,
     for (std::size_t i = 0; i < size; ++i) {
         state = kTables[0][(state ^ bytes[i]) & 0xFFu] ^ (state >> 8);
     }
-    return state;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size) noexcept {
-    return advance(0xFFFFFFFFu, static_cast<const unsigned char*>(data),
-                   size) ^
-           0xFFFFFFFFu;
-}
-
-void Crc32::update(const void* data, std::size_t size) noexcept {
-    state_ =
-        advance(state_, static_cast<const unsigned char*>(data), size);
+    return state ^ 0xFFFFFFFFu;
 }
 
 }  // namespace wimi

@@ -24,25 +24,4 @@ namespace wimi {
 /// reflected polynomial, final XOR — identical to zlib's crc32()).
 std::uint32_t crc32(const void* data, std::size_t size) noexcept;
 
-/// Incremental CRC-32 for streamed data.
-///
-///   Crc32 crc;
-///   crc.update(header, header_size);
-///   crc.update(payload, payload_size);
-///   std::uint32_t checksum = crc.value();
-class Crc32 {
-public:
-    /// Folds `size` bytes at `data` into the running checksum.
-    void update(const void* data, std::size_t size) noexcept;
-
-    /// Checksum of all bytes seen so far.
-    std::uint32_t value() const noexcept { return state_ ^ 0xFFFFFFFFu; }
-
-    /// Returns to the empty-input state.
-    void reset() noexcept { state_ = 0xFFFFFFFFu; }
-
-private:
-    std::uint32_t state_ = 0xFFFFFFFFu;
-};
-
 }  // namespace wimi

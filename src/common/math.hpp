@@ -30,48 +30,13 @@ inline double wrap_to_pi(double angle) {
     return angle - kPi;
 }
 
-/// Wraps an angle [rad] to [0, 2*pi).
-inline double wrap_to_two_pi(double angle) {
-    angle = std::fmod(angle, kTwoPi);
-    if (angle < 0.0) {
-        angle += kTwoPi;
-    }
-    return angle;
-}
-
-/// Degrees -> radians.
-inline constexpr double deg_to_rad(double degrees) {
-    return degrees * kPi / 180.0;
-}
-
 /// Radians -> degrees.
 inline constexpr double rad_to_deg(double radians) {
     return radians * 180.0 / kPi;
 }
 
-/// Nepers -> decibels (1 Np = 20/ln(10) dB).
-inline double nepers_to_db(double nepers) {
-    return nepers * 20.0 / std::log(10.0);
-}
-
-/// Decibels -> nepers.
-inline double db_to_nepers(double db) { return db * std::log(10.0) / 20.0; }
-
-/// Linear power ratio -> decibels.
-inline double power_to_db(double ratio) { return 10.0 * std::log10(ratio); }
-
-/// Linear amplitude ratio -> decibels.
-inline double amplitude_to_db(double ratio) {
-    return 20.0 * std::log10(ratio);
-}
-
 /// Decibels -> linear amplitude ratio.
 inline double db_to_amplitude(double db) { return std::pow(10.0, db / 20.0); }
-
-/// True when |a - b| <= tol, with tol interpreted absolutely.
-inline bool approx_equal(double a, double b, double tol = 1e-9) {
-    return std::abs(a - b) <= tol;
-}
 
 /// Clamps x into [lo, hi].
 inline constexpr double clamp(double x, double lo, double hi) {

@@ -102,22 +102,6 @@ std::vector<double> denoised_amplitude_ratio(
                              config);
 }
 
-double mean_amplitude_ratio(const csi::CsiSeries& series, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config) {
-    const auto ratio =
-        denoised_amplitude_ratio(series, pair, subcarrier, config);
-    return dsp::mean(ratio);
-}
-
-double mean_amplitude_ratio(const csi::CsiSoa& soa, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config) {
-    const auto ratio =
-        denoised_amplitude_ratio(soa, pair, subcarrier, config);
-    return dsp::mean(ratio);
-}
-
 namespace {
 
 void count_masked(const std::vector<bool>& mask) {
@@ -129,24 +113,6 @@ void count_masked(const std::vector<bool>& mask) {
 }
 
 }  // namespace
-
-std::vector<bool> inlier_packet_mask(const csi::CsiSeries& series,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier,
-                                     double k_sigma) {
-    ensure(!series.empty(), "inlier_packet_mask: empty series");
-    std::vector<bool> mask(series.packet_count(), true);
-    for (const std::size_t antenna : {pair.first, pair.second}) {
-        const auto amplitudes =
-            series.amplitude_series(antenna, subcarrier);
-        for (const std::size_t i :
-             dsp::sigma_outlier_indices(amplitudes, k_sigma)) {
-            mask[i] = false;
-        }
-    }
-    count_masked(mask);
-    return mask;
-}
 
 std::vector<bool> inlier_packet_mask(const csi::CsiSoa& soa,
                                      AntennaPair pair,

@@ -44,17 +44,6 @@ std::vector<double> denoised_amplitude_ratio(
     const csi::CsiSoa& soa, AntennaPair pair, std::size_t subcarrier,
     const AmplitudeDenoiseConfig& config);
 
-/// Mean cleaned amplitude ratio over the series (the scalar the material
-/// feature consumes).
-double mean_amplitude_ratio(const csi::CsiSeries& series, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config);
-
-/// SoA variant of mean_amplitude_ratio.
-double mean_amplitude_ratio(const csi::CsiSoa& soa, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config);
-
 /// Variance of the (uncleaned) per-antenna amplitude and of the amplitude
 /// ratio at each subcarrier — the Fig. 8 comparison.
 struct AmplitudeVarianceReport {
@@ -80,11 +69,6 @@ AmplitudeVarianceReport amplitude_variance_report(const csi::CsiSoa& soa,
 /// the pipeline excludes them from phase averaging too — a corrupted
 /// amplitude sample means the complex CSI (and hence its phase) is
 /// untrustworthy for that packet.
-std::vector<bool> inlier_packet_mask(const csi::CsiSeries& series,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier, double k_sigma);
-
-/// SoA variant of inlier_packet_mask.
 std::vector<bool> inlier_packet_mask(const csi::CsiSoa& soa,
                                      AntennaPair pair,
                                      std::size_t subcarrier, double k_sigma);

@@ -52,11 +52,6 @@ void MaterialDatabase::add_sample(int id, std::span<const double> features) {
     data_.add(features, id);
 }
 
-std::size_t MaterialDatabase::samples_for(int id) const {
-    material_name(id);  // validates id
-    return data_.rows_with_label(id).size();
-}
-
 void MaterialDatabase::save(const std::filesystem::path& path) const {
     std::ofstream out(path, std::ios::trunc);
     ensure(out.is_open(),

@@ -39,9 +39,6 @@ public:
     /// Total stored samples.
     std::size_t sample_count() const { return data_.size(); }
 
-    /// Samples per material id.
-    std::size_t samples_for(int id) const;
-
     /// Feature width (0 until the first sample is added).
     std::size_t feature_count() const { return data_.feature_count(); }
 

@@ -166,7 +166,7 @@ MaterialMeasurement raw_measurement(Complex ratio_baseline,
     // Eq. 19: change of the stable amplitude ratio.
     m.delta_psi = std::abs(ratio_target) / std::abs(ratio_baseline);
     ensure(m.delta_psi > 0.0,
-           "measure_material: nonpositive amplitude-ratio change");
+           "BaselineReference: nonpositive amplitude-ratio change");
     return m;
 }
 
@@ -188,7 +188,7 @@ void finish_measurement(MaterialMeasurement& m, int gamma,
 }
 
 /// Appends one measurement per pair at one subcarrier, with cross-pair
-/// wrap recovery (see measure_material_pairs). `baseline_ratios` holds
+/// wrap recovery (see BaselineReference::measure). `baseline_ratios` holds
 /// the baseline's stable ratio of each pair, in `pairs` order.
 void measure_subcarrier(std::span<const Complex> baseline_ratios,
                         const csi::CsiSoa& target,
@@ -277,27 +277,6 @@ std::vector<MaterialMeasurement> BaselineReference::measure(
     return out;
 }
 
-MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
-                                     const csi::CsiSeries& target,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier,
-                                     const FeatureConfig& config) {
-    return measure_material_pairs(baseline, target, {pair}, subcarrier,
-                                  config)
-        .front();
-}
-
-std::vector<MaterialMeasurement> measure_material_pairs(
-    const csi::CsiSeries& baseline, const csi::CsiSeries& target,
-    const std::vector<AntennaPair>& pairs, std::size_t subcarrier,
-    const FeatureConfig& config) {
-    ensure(!baseline.empty() && !target.empty(),
-           "measure_material: baseline and target must be non-empty");
-    return BaselineReference(csi::CsiSoa(baseline), pairs, {subcarrier},
-                             config)
-        .measure(csi::CsiSoa(target));
-}
-
 std::vector<double> extract_feature_vector(const BaselineReference& baseline,
                                            const csi::CsiSoa& target) {
     WIMI_OBS_COUNT("feature.vectors_extracted", 1);
@@ -327,7 +306,8 @@ std::vector<double> extract_feature_vector(
     const std::vector<std::size_t>& subcarriers,
     const FeatureConfig& config) {
     ensure(!baseline.empty() && !target.empty(),
-           "measure_material: baseline and target must be non-empty");
+           "extract_feature_vector: baseline and target must be "
+           "non-empty");
     // Build the SoA once: amplitude planes are then computed and cached a
     // single time across all (subcarrier, pair) combinations.
     return extract_feature_vector(csi::CsiSoa(baseline),

@@ -95,9 +95,19 @@ public:
                       FeatureConfig config);
 
     /// Target half: every (subcarrier, pair) measurement of `target`
-    /// against this baseline, subcarrier-major, with cross-pair wrap
-    /// recovery per subcarrier (see measure_material_pairs). Throws
-    /// unless `target` has the baseline's antenna and subcarrier counts.
+    /// against this baseline, subcarrier-major. Throws unless `target`
+    /// has the baseline's antenna and subcarrier counts.
+    ///
+    /// Each subcarrier gets cross-pair wrap recovery (Sec. III-E/F).
+    /// pairs[0] is the reference pair: the closest pair, whose in-target
+    /// path difference is small enough that its DeltaTheta never wraps.
+    /// Wider pairs have proportionally larger D1-D2 — larger, better-SNR
+    /// amplitude effects — but phase changes beyond +-pi. Their integer
+    /// wrap count gamma is recovered from the coarse amplitude
+    /// information, as the paper prescribes: the ratio ln(DeltaPsi_p) /
+    /// ln(DeltaPsi_ref) estimates the path-difference ratio independently
+    /// of the material, which predicts the unwrapped phase
+    /// DeltaTheta_ref * ratio to well within half a turn.
     std::vector<MaterialMeasurement> measure(const csi::CsiSoa& target) const;
 
     const std::vector<AntennaPair>& pairs() const { return pairs_; }
@@ -114,29 +124,6 @@ private:
     FeatureConfig config_;
     std::vector<Complex> ratios_;  ///< subcarriers x pairs, pair-minor
 };
-
-/// Computes the measurement for one antenna pair and subcarrier.
-/// Both series must share dimensions; requires >= 1 packet each.
-MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
-                                     const csi::CsiSeries& target,
-                                     AntennaPair pair, std::size_t subcarrier,
-                                     const FeatureConfig& config);
-
-/// Measures several antenna pairs at one subcarrier with cross-pair wrap
-/// recovery (Sec. III-E/F).
-///
-/// pairs[0] is the reference pair: the closest pair, whose in-target path
-/// difference is small enough that its DeltaTheta never wraps. Wider pairs
-/// have proportionally larger D1-D2 — larger, better-SNR amplitude effects
-/// — but phase changes beyond +-pi. Their integer wrap count gamma is
-/// recovered from the coarse amplitude information, as the paper
-/// prescribes: the ratio ln(DeltaPsi_p) / ln(DeltaPsi_ref) estimates the
-/// path-difference ratio independently of the material, which predicts the
-/// unwrapped phase DeltaTheta_ref * ratio to well within half a turn.
-std::vector<MaterialMeasurement> measure_material_pairs(
-    const csi::CsiSeries& baseline, const csi::CsiSeries& target,
-    const std::vector<AntennaPair>& pairs, std::size_t subcarrier,
-    const FeatureConfig& config);
 
 /// Feature vector for the classifier: Omega for every (subcarrier, pair)
 /// combination, subcarrier-major, with cross-pair wrap recovery applied

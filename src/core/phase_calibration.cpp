@@ -36,13 +36,6 @@ std::vector<double> phase_difference_series(const csi::CsiSeries& series,
                                           subcarrier);
 }
 
-double calibrated_phase_difference(const csi::CsiSeries& series,
-                                   AntennaPair pair,
-                                   std::size_t subcarrier) {
-    const auto diffs = phase_difference_series(series, pair, subcarrier);
-    return dsp::circular_mean(diffs);
-}
-
 double phase_difference_variance(const csi::CsiSeries& series,
                                  AntennaPair pair, std::size_t subcarrier) {
     const auto diffs = phase_difference_series(series, pair, subcarrier);

@@ -40,12 +40,6 @@ std::vector<double> phase_difference_series(const csi::CsiSeries& series,
                                             AntennaPair pair,
                                             std::size_t subcarrier);
 
-/// Calibrated (time-averaged) phase difference at one subcarrier: the
-/// circular mean over all packets, removing the Gaussian noise term of
-/// Eq. 6.
-double calibrated_phase_difference(const csi::CsiSeries& series,
-                                   AntennaPair pair, std::size_t subcarrier);
-
 /// Variance of the phase-difference series around its circular mean —
 /// the sigma_k^2 of the paper's Eq. 7 (computed on wrapped deviations so
 /// it is immune to 2*pi jumps).

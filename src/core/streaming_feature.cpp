@@ -33,11 +33,6 @@ WindowFeatureExtractor make_window_extractor(const Wimi& wimi,
                                   wimi.config().feature);
 }
 
-double RunningPhaseCalibration::mean() const {
-    ensure(count_ > 0, "RunningPhaseCalibration::mean: no samples");
-    return std::atan2(sin_sum_, cos_sum_);
-}
-
 double RunningPhaseCalibration::resultant_length() const {
     ensure(count_ > 0,
            "RunningPhaseCalibration::resultant_length: no samples");

@@ -93,9 +93,6 @@ public:
 
     std::uint64_t count() const { return count_; }
 
-    /// Circular mean [rad]; requires count() >= 1.
-    double mean() const;
-
     /// Mean resultant length R in [0, 1]; requires count() >= 1.
     double resultant_length() const;
 

@@ -103,22 +103,6 @@ void Wimi::enroll_features(std::string_view material_name,
     trained_ = false;
 }
 
-double Wimi::train_tuned(const ml::GridSearchConfig& search) {
-    ensure(database_.material_count() >= 2,
-           "Wimi::train_tuned: need at least two enrolled materials");
-    ml::GridSearchConfig tuned_search = search;
-    if (tuned_search.threads == 0) {
-        tuned_search.threads = config_.threads;
-    }
-    const auto result = ml::tune_svm(database_.dataset(), tuned_search);
-    // Adopt the tuned (C, gamma) but keep the plumbed fan-out width.
-    const std::size_t svm_threads = config_.svm.threads;
-    config_.svm = result.best;
-    config_.svm.threads = svm_threads;
-    train();
-    return result.best_accuracy;
-}
-
 void Wimi::train() {
     ensure(database_.material_count() >= 2,
            "Wimi::train: need at least two enrolled materials");

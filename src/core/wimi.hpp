@@ -26,7 +26,6 @@
 #include "core/material_feature.hpp"
 #include "core/model.hpp"
 #include "csi/frame.hpp"
-#include "ml/grid_search.hpp"
 #include "ml/scaler.hpp"
 #include "ml/svm.hpp"
 
@@ -46,11 +45,10 @@ struct WimiConfig {
     std::size_t good_subcarrier_count = 4;  ///< the paper's P
     FeatureConfig feature;
     ml::SvmConfig svm;
-    /// Fan-out width for training parallelism (one-vs-one SVM machines,
-    /// grid-search points in train_tuned); 0 = exec pool default /
-    /// WIMI_THREADS, 1 = serial. Propagated into svm.threads and the
-    /// grid-search config when those leave their own width unset.
-    /// Training results are identical at every width.
+    /// Fan-out width for training the one-vs-one SVM machines; 0 = exec
+    /// pool default / WIMI_THREADS, 1 = serial. Propagated into
+    /// svm.threads when that leaves its own width unset. Training
+    /// results are identical at every width.
     std::size_t threads = 0;
 };
 
@@ -82,12 +80,6 @@ public:
 
     /// Trains the classifier on the database. Requires >= 2 materials.
     void train();
-
-    /// Tunes the SVM's (C, gamma) by cross-validated grid search on the
-    /// enrollment database, adopts the winner, then trains. Returns the
-    /// cross-validation accuracy of the chosen settings. Requires >= 2
-    /// materials.
-    double train_tuned(const ml::GridSearchConfig& search = {});
 
     /// True once train() has succeeded.
     bool trained() const { return trained_; }

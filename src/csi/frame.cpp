@@ -1,7 +1,6 @@
 #include "csi/frame.hpp"
 
 #include <cmath>
-#include <string>
 
 #include "common/error.hpp"
 
@@ -72,14 +71,6 @@ void CsiSeries::validate() const {
     }
 }
 
-void CsiSeries::validate_finite() const {
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        ensure(frames[i].is_finite(),
-               "CsiSeries: non-finite values in frame " +
-                   std::to_string(i));
-    }
-}
-
 std::vector<double> CsiSeries::amplitude_series(
     std::size_t antenna, std::size_t subcarrier) const {
     std::vector<double> out;
@@ -108,20 +99,6 @@ std::vector<double> CsiSeries::phase_difference_series(
     for (const auto& frame : frames) {
         out.push_back(wrap_to_pi(frame.phase(antenna1, subcarrier) -
                                  frame.phase(antenna2, subcarrier)));
-    }
-    return out;
-}
-
-std::vector<double> CsiSeries::amplitude_ratio_series(
-    std::size_t antenna1, std::size_t antenna2,
-    std::size_t subcarrier) const {
-    std::vector<double> out;
-    out.reserve(frames.size());
-    for (const auto& frame : frames) {
-        const double denom = frame.amplitude(antenna2, subcarrier);
-        ensure(denom > 0.0,
-               "CsiSeries: zero amplitude in ratio denominator");
-        out.push_back(frame.amplitude(antenna1, subcarrier) / denom);
     }
     return out;
 }

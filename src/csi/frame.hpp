@@ -75,9 +75,6 @@ struct CsiSeries {
     /// Throws wimi::Error unless all frames share dimensions.
     void validate() const;
 
-    /// Throws wimi::Error unless every frame is_finite().
-    void validate_finite() const;
-
     /// Amplitude time series |H_m| for one (antenna, subcarrier) across
     /// all packets m.
     std::vector<double> amplitude_series(std::size_t antenna,
@@ -93,10 +90,6 @@ struct CsiSeries {
                                                 std::size_t antenna2,
                                                 std::size_t subcarrier) const;
 
-    /// Per-packet amplitude ratio |H_a1| / |H_a2| for one subcarrier.
-    std::vector<double> amplitude_ratio_series(std::size_t antenna1,
-                                               std::size_t antenna2,
-                                               std::size_t subcarrier) const;
 };
 
 }  // namespace wimi::csi

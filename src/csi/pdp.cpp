@@ -13,12 +13,13 @@ namespace {
 std::vector<double> raw_profile(const CsiFrame& frame, std::size_t antenna,
                                 std::size_t fft_size) {
     ensure(antenna < frame.antenna_count(),
-           "power_delay_profile: antenna out of range");
+           "average_power_delay_profile: antenna out of range");
     ensure(frame.subcarrier_count() == kSubcarrierCount,
-           "power_delay_profile: frame does not use the Intel 5300 layout");
+           "average_power_delay_profile: frame does not use the Intel "
+           "5300 layout");
     ensure(dsp::is_power_of_two(fft_size) && fft_size >= 64,
-           "power_delay_profile: fft_size must be a power of two >= 64 "
-           "(the 20 MHz grid spans logical indices -28..28)");
+           "average_power_delay_profile: fft_size must be a power of two "
+           ">= 64 (the 20 MHz grid spans logical indices -28..28)");
     // Place each reported subcarrier at its *logical* frequency position
     // (units of the subcarrier spacing, negative offsets wrapping to the
     // top of the FFT grid). The Intel grouping skips most odd indices;
@@ -43,7 +44,7 @@ PowerDelayProfile finalize(std::vector<double> power,
                            std::size_t fft_size) {
     PowerDelayProfile profile;
     const double peak = *std::max_element(power.begin(), power.end());
-    ensure(peak > 0.0, "power_delay_profile: all-zero CSI");
+    ensure(peak > 0.0, "average_power_delay_profile: all-zero CSI");
     for (double& p : power) {
         p /= peak;
     }
@@ -58,12 +59,6 @@ PowerDelayProfile finalize(std::vector<double> power,
 }
 
 }  // namespace
-
-PowerDelayProfile power_delay_profile(const CsiFrame& frame,
-                                      std::size_t antenna,
-                                      std::size_t fft_size) {
-    return finalize(raw_profile(frame, antenna, fft_size), fft_size);
-}
 
 PowerDelayProfile average_power_delay_profile(const CsiSeries& series,
                                               std::size_t antenna,

@@ -15,7 +15,7 @@
 
 namespace wimi::csi {
 
-/// Delay-domain profile of one CSI snapshot.
+/// Delay-domain profile of a capture.
 struct PowerDelayProfile {
     /// Power per delay bin, normalized so the strongest bin is 1.
     std::vector<double> power;
@@ -23,15 +23,10 @@ struct PowerDelayProfile {
     double bin_spacing_s = 0.0;
 };
 
-/// PDP of one frame's antenna via zero-padded IFFT across subcarriers.
-/// `fft_size` must be a power of two >= the subcarrier count (it sets the
-/// delay-domain oversampling).
-PowerDelayProfile power_delay_profile(const CsiFrame& frame,
-                                      std::size_t antenna,
-                                      std::size_t fft_size = 128);
-
 /// Incoherently averaged PDP over all packets of a series (per-packet
-/// random phases cancel in the power domain).
+/// random phases cancel in the power domain), one zero-padded IFFT
+/// across subcarriers per frame. `fft_size` must be a power of two >= 64
+/// (it sets the delay-domain oversampling).
 PowerDelayProfile average_power_delay_profile(const CsiSeries& series,
                                               std::size_t antenna,
                                               std::size_t fft_size = 128);

@@ -49,22 +49,6 @@ std::vector<double> amplitude_cv_per_subcarrier(const CsiSeries& series,
     return cv;
 }
 
-AmplitudeQuality amplitude_quality(const CsiSeries& series) {
-    AmplitudeQuality q;
-    std::size_t cells = 0;
-    for (std::size_t a = 0; a < series.antenna_count(); ++a) {
-        for (const double cv : amplitude_cv_per_subcarrier(series, a)) {
-            q.cv_mean += cv;
-            q.cv_max = std::max(q.cv_max, cv);
-            ++cells;
-        }
-    }
-    if (cells > 0) {
-        q.cv_mean /= static_cast<double>(cells);
-    }
-    return q;
-}
-
 double amplitude_ratio_stability(const CsiSeries& series,
                                  std::size_t antenna1, std::size_t antenna2,
                                  std::size_t subcarrier) {
@@ -96,21 +80,22 @@ void record_signal_quality(const CsiSeries& series) {
     if (!WIMI_OBS_ENABLED() || series.empty()) {
         return;
     }
-    AmplitudeQuality q;
+    double cv_mean = 0.0;  // mean CV over (antenna, subcarrier) cells
+    double cv_max = 0.0;   // worst cell: one bad chain stands out
     std::size_t cells = 0;
     for (std::size_t a = 0; a < series.antenna_count(); ++a) {
         for (const double cv : amplitude_cv_per_subcarrier(series, a)) {
             WIMI_OBS_HISTOGRAM("quality.amplitude.subcarrier_cv", cv);
-            q.cv_mean += cv;
-            q.cv_max = std::max(q.cv_max, cv);
+            cv_mean += cv;
+            cv_max = std::max(cv_max, cv);
             ++cells;
         }
     }
     if (cells > 0) {
-        q.cv_mean /= static_cast<double>(cells);
+        cv_mean /= static_cast<double>(cells);
     }
-    WIMI_OBS_GAUGE_SET("quality.amplitude.cv_mean", q.cv_mean);
-    WIMI_OBS_GAUGE_SET("quality.amplitude.cv_max", q.cv_max);
+    WIMI_OBS_GAUGE_SET("quality.amplitude.cv_mean", cv_mean);
+    WIMI_OBS_GAUGE_SET("quality.amplitude.cv_max", cv_max);
     for (std::size_t a = 0; a + 1 < series.antenna_count(); ++a) {
         for (std::size_t b = a + 1; b < series.antenna_count(); ++b) {
             WIMI_OBS_HISTOGRAM(

@@ -24,15 +24,6 @@ namespace wimi::csi {
 std::vector<double> amplitude_cv_per_subcarrier(const CsiSeries& series,
                                                 std::size_t antenna);
 
-/// Capture-wide amplitude-stability digest across all antennas.
-struct AmplitudeQuality {
-    double cv_mean = 0.0;  ///< mean CV over (antenna, subcarrier) cells
-    double cv_max = 0.0;   ///< worst cell — one bad chain stands out
-};
-
-/// Computes the digest over every antenna of the series.
-AmplitudeQuality amplitude_quality(const CsiSeries& series);
-
 /// Per-packet stability of the amplitude ratio |H_a| / |H_b| between two
 /// antennas at one subcarrier, as a unit-mean variance (the Sec. III-D
 /// quantity the material feature is built on). Lower is more stable.

@@ -45,11 +45,6 @@ const CsiFrame& FrameRing::at(std::size_t i) const {
     return slots_[(head_ + i) % slots_.size()];
 }
 
-std::uint64_t FrameRing::global_index(std::size_t i) const {
-    ensure(i < size_, "FrameRing::global_index: index out of range");
-    return total_pushed_ - size_ + i;
-}
-
 void FrameRing::window_into(std::size_t count, CsiSeries& out) const {
     ensure(count <= size_,
            "FrameRing::window_into: window larger than held frames");

@@ -58,10 +58,6 @@ public:
     /// checked.
     const CsiFrame& at(std::size_t i) const;
 
-    /// Global stream index of the i-th held frame (0-based index into
-    /// the pushed sequence): total_pushed() - size() + i.
-    std::uint64_t global_index(std::size_t i) const;
-
     /// Copies the newest `count` frames (<= size()) into `out.frames`,
     /// oldest first. `out` is resized and its existing frame buffers are
     /// reused when shapes match. Throws when count > size().

@@ -1,7 +1,5 @@
 #include "csi/soa.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "simd/kernels.hpp"
 
@@ -19,8 +17,6 @@ CsiSoa::CsiSoa(const CsiSeries& series) {
     im_.resize(planes * packets_);
     amplitude_.resize(planes * packets_);
     amplitude_ready_.assign(planes, 0);
-    phase_.resize(planes * packets_);
-    phase_ready_.assign(planes, 0);
 
     // Transpose frame-major -> plane-major. Frames store antenna-major
     // rows of subcarriers, so walk each frame once in storage order.
@@ -67,19 +63,6 @@ std::span<const double> CsiSoa::amplitude_plane(
         amplitude_ready_[plane] = 1;
     }
     return {amplitude_.data() + base, packets_};
-}
-
-std::span<const double> CsiSoa::phase_plane(std::size_t antenna,
-                                            std::size_t subcarrier) const {
-    const std::size_t plane = plane_index(antenna, subcarrier);
-    const std::size_t base = plane * packets_;
-    if (!phase_ready_[plane]) {
-        for (std::size_t m = 0; m < packets_; ++m) {
-            phase_[base + m] = std::atan2(im_[base + m], re_[base + m]);
-        }
-        phase_ready_[plane] = 1;
-    }
-    return {phase_.data() + base, packets_};
 }
 
 }  // namespace wimi::csi

@@ -9,9 +9,9 @@
 //
 //   plane(antenna, subcarrier) = data[(antenna * S + subcarrier) * P .. +P)
 //
-// with separate real/imag planes built eagerly and amplitude/phase
-// planes derived lazily (computed on first request, cached; most
-// pipeline stages touch only the selected subcarriers). Planes are
+// with separate real/imag planes built eagerly and amplitude planes
+// derived lazily (computed on first request, cached; most pipeline
+// stages touch only the selected subcarriers). Planes are
 // std::span views into the buffer — zero-copy, unit-stride, and directly
 // consumable by the simd kernels.
 //
@@ -20,11 +20,9 @@
 // CsiSeries::amplitude_series; with SIMD enabled they use the wide
 // sqrt(re^2 + im^2) kernel, which can differ in the last ulp (and in
 // principle under/overflow for |H| outside ~[1e-150, 1e150] — far
-// beyond quantized CSI magnitudes). Phase planes always use std::atan2
-// per element (no wide variant) and match CsiSeries::phase_series
-// bit-for-bit.
+// beyond quantized CSI magnitudes).
 //
-// The lazy caches make const accessors mutate internal state; a CsiSoa
+// The lazy cache makes const accessors mutate internal state; a CsiSoa
 // instance is NOT safe for concurrent first-touch from multiple threads.
 // Build and use one per task (the pipeline builds one per series per
 // feature extraction, inside a single exec task).
@@ -60,11 +58,6 @@ public:
     std::span<const double> amplitude_plane(std::size_t antenna,
                                             std::size_t subcarrier) const;
 
-    /// arg(H) time series in (-pi, pi]; computed on first request and
-    /// cached.
-    std::span<const double> phase_plane(std::size_t antenna,
-                                        std::size_t subcarrier) const;
-
 private:
     std::size_t plane_index(std::size_t antenna,
                             std::size_t subcarrier) const;
@@ -76,8 +69,6 @@ private:
     std::vector<double> im_;
     mutable std::vector<double> amplitude_;
     mutable std::vector<char> amplitude_ready_;
-    mutable std::vector<double> phase_;
-    mutable std::vector<char> phase_ready_;
 };
 
 }  // namespace wimi::csi

@@ -33,10 +33,6 @@ double mean_resultant_length(std::span<const double> angles) {
     return std::sqrt(sum_sin * sum_sin + sum_cos * sum_cos) / n;
 }
 
-double circular_variance(std::span<const double> angles) {
-    return 1.0 - mean_resultant_length(angles);
-}
-
 double circular_stddev(std::span<const double> angles) {
     const double r = mean_resultant_length(angles);
     if (r <= 0.0) {
@@ -62,10 +58,6 @@ double angular_spread_deg(std::span<const double> angles, double coverage) {
     keep = std::clamp<std::size_t>(keep, 1, count);
     // Arc is symmetric about the mean: total width = 2 * max deviation kept.
     return rad_to_deg(2.0 * deviations[keep - 1]);
-}
-
-double angular_distance(double a, double b) {
-    return std::abs(wrap_to_pi(a - b));
 }
 
 }  // namespace wimi::dsp

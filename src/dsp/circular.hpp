@@ -18,9 +18,6 @@ double circular_mean(std::span<const double> angles);
 /// Mean resultant length R in [0, 1]; 1 means perfectly concentrated.
 double mean_resultant_length(std::span<const double> angles);
 
-/// Circular variance 1 - R in [0, 1].
-double circular_variance(std::span<const double> angles);
-
 /// Circular standard deviation sqrt(-2 ln R) [rad].
 double circular_stddev(std::span<const double> angles);
 
@@ -30,9 +27,5 @@ double circular_stddev(std::span<const double> angles);
 /// ~5 deg after good-subcarrier selection).
 double angular_spread_deg(std::span<const double> angles,
                           double coverage = 0.95);
-
-/// Smallest absolute angular difference [rad] between two angles, in
-/// [0, pi].
-double angular_distance(double a, double b);
 
 }  // namespace wimi::dsp

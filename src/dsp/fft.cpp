@@ -52,15 +52,6 @@ void transform(std::vector<Complex>& data, bool inverse) {
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-std::size_t next_power_of_two(std::size_t n) {
-    ensure(n >= 1, "next_power_of_two: n must be >= 1");
-    std::size_t p = 1;
-    while (p < n) {
-        p <<= 1;
-    }
-    return p;
-}
-
 void fft_in_place(std::vector<Complex>& data) { transform(data, false); }
 
 void ifft_in_place(std::vector<Complex>& data) { transform(data, true); }

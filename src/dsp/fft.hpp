@@ -29,7 +29,4 @@ void ifft_in_place(std::vector<Complex>& data);
 std::vector<Complex> fft(std::span<const Complex> input);
 std::vector<Complex> ifft(std::span<const Complex> input);
 
-/// Smallest power of two >= n. Requires n >= 1.
-std::size_t next_power_of_two(std::size_t n);
-
 }  // namespace wimi::dsp

@@ -56,13 +56,6 @@ double stddev(std::span<const double> values) {
     return std::sqrt(variance(values));
 }
 
-double sample_variance(std::span<const double> values) {
-    ensure(values.size() >= 2, "sample_variance: need at least 2 values");
-    const double mu = mean(values);
-    return simd::centered_sum_squares(values, mu) /
-           static_cast<double>(values.size() - 1);
-}
-
 double median(std::span<const double> values) {
     std::vector<double> scratch(values.begin(), values.end());
     return select_median(scratch);
@@ -82,37 +75,6 @@ double robust_sigma(std::span<const double> values,
     ensure(scratch.size() >= values.size(),
            "robust_sigma: scratch is shorter than the input");
     return mad_in(values, scratch.first(values.size())) / 0.6745;
-}
-
-double percentile(std::span<const double> values, double p) {
-    ensure(!values.empty(), "percentile: input must not be empty");
-    ensure(p >= 0.0 && p <= 100.0, "percentile: p must be in [0, 100]");
-    ensure_all_finite(values, "percentile");
-    std::vector<double> sorted(values.begin(), values.end());
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.size() == 1) {
-        return sorted.front();
-    }
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double pearson_correlation(std::span<const double> a,
-                           std::span<const double> b) {
-    ensure(a.size() == b.size() && !a.empty(),
-           "pearson_correlation: inputs must be equal-length and non-empty");
-    const double mean_a = mean(a);
-    const double mean_b = mean(b);
-    const double cov = simd::centered_dot(a, mean_a, b, mean_b);
-    const double var_a = simd::centered_sum_squares(a, mean_a);
-    const double var_b = simd::centered_sum_squares(b, mean_b);
-    if (var_a == 0.0 || var_b == 0.0) {
-        return 0.0;
-    }
-    return cov / std::sqrt(var_a * var_b);
 }
 
 double rmse(std::span<const double> a, std::span<const double> b) {
@@ -174,13 +136,6 @@ std::vector<double> reject_sigma_outliers(std::span<const double> values,
 }
 
 void RunningStats::add(double value) {
-    if (count_ == 0) {
-        min_ = value;
-        max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
     ++count_;
     const double delta = value - mean_;
     mean_ += delta / static_cast<double>(count_);
@@ -198,15 +153,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-    ensure(count_ > 0, "RunningStats::min: no observations");
-    return min_;
-}
-
-double RunningStats::max() const {
-    ensure(count_ > 0, "RunningStats::max: no observations");
-    return max_;
-}
 
 }  // namespace wimi::dsp

@@ -3,13 +3,12 @@
 // median noise estimate behind the wavelet threshold (ref. [24]).
 //
 // Non-finite input policy: the moment-based functions (mean, variance,
-// stddev, sample_variance, pearson_correlation, rmse, RunningStats)
-// follow IEEE-754 arithmetic and propagate NaN/Inf into their result.
-// The order-statistic functions (median, median_absolute_deviation,
-// robust_sigma, percentile) and the sigma outlier gate throw wimi::Error
-// on non-finite input instead: sorting a range containing NaN is
-// undefined behavior, and a NaN-poisoned outlier band would silently
-// pass every sample.
+// stddev, rmse, RunningStats) follow IEEE-754 arithmetic and propagate
+// NaN/Inf into their result. The order-statistic functions (median,
+// median_absolute_deviation, robust_sigma) and the sigma outlier gate
+// throw wimi::Error on non-finite input instead: sorting a range
+// containing NaN is undefined behavior, and a NaN-poisoned outlier band
+// would silently pass every sample.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +26,6 @@ double variance(std::span<const double> values);
 /// Population standard deviation.
 double stddev(std::span<const double> values);
 
-/// Sample variance (divide by N-1). Requires >= 2 values.
-double sample_variance(std::span<const double> values);
-
 /// Median (average of middle two for even N). Requires a non-empty,
 /// all-finite input (wimi::Error otherwise).
 double median(std::span<const double> values);
@@ -46,14 +42,6 @@ double robust_sigma(std::span<const double> values);
 /// allocates nothing. Same result, checks and messages.
 double robust_sigma(std::span<const double> values,
                     std::span<double> scratch);
-
-/// Linear interpolated percentile; p in [0, 100]. Requires a non-empty,
-/// all-finite input.
-double percentile(std::span<const double> values, double p);
-
-/// Pearson correlation coefficient; returns 0 when either side is constant.
-double pearson_correlation(std::span<const double> a,
-                           std::span<const double> b);
 
 /// Root-mean-square error between two equal-length series.
 double rmse(std::span<const double> a, std::span<const double> b);
@@ -90,18 +78,10 @@ public:
     /// Population standard deviation.
     double stddev() const;
 
-    /// Smallest observation. Requires count() >= 1.
-    double min() const;
-
-    /// Largest observation. Requires count() >= 1.
-    double max() const;
-
 private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 }  // namespace wimi::dsp

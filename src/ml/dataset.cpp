@@ -1,6 +1,5 @@
 #include "ml/dataset.hpp"
 
-#include <algorithm>
 #include <set>
 
 #include "common/error.hpp"
@@ -47,54 +46,12 @@ std::vector<std::size_t> Dataset::rows_with_label(int label) const {
     return rows;
 }
 
-void Dataset::append(const Dataset& other) {
-    if (other.empty()) {
-        return;
-    }
-    if (feature_count_ == 0) {
-        feature_count_ = other.feature_count_;
-    }
-    ensure(other.feature_count_ == feature_count_,
-           "Dataset::append: feature count mismatch");
-    features_.insert(features_.end(), other.features_.begin(),
-                     other.features_.end());
-    labels_.insert(labels_.end(), other.labels_.begin(),
-                   other.labels_.end());
-}
-
 Dataset Dataset::subset(std::span<const std::size_t> rows) const {
     Dataset out(feature_count_ == 0 ? 1 : feature_count_);
     for (const std::size_t row : rows) {
         out.add(features(row), label(row));
     }
     return out;
-}
-
-Split stratified_split(const Dataset& data, double train_fraction,
-                       Rng& rng) {
-    ensure(train_fraction > 0.0 && train_fraction < 1.0,
-           "stratified_split: train_fraction must be in (0, 1)");
-    ensure(!data.empty(), "stratified_split: empty dataset");
-
-    std::vector<std::size_t> train_rows;
-    std::vector<std::size_t> test_rows;
-    for (const int label : data.distinct_labels()) {
-        auto rows = data.rows_with_label(label);
-        rng.shuffle(rows);
-        std::size_t n_train = static_cast<std::size_t>(
-            train_fraction * static_cast<double>(rows.size()) + 0.5);
-        if (rows.size() >= 2) {
-            n_train = std::clamp<std::size_t>(n_train, 1, rows.size() - 1);
-        } else {
-            n_train = rows.size();  // singleton class: train only
-        }
-        train_rows.insert(train_rows.end(), rows.begin(),
-                          rows.begin() + static_cast<std::ptrdiff_t>(n_train));
-        test_rows.insert(test_rows.end(),
-                         rows.begin() + static_cast<std::ptrdiff_t>(n_train),
-                         rows.end());
-    }
-    return {data.subset(train_rows), data.subset(test_rows)};
 }
 
 std::vector<std::size_t> stratified_folds(const Dataset& data,

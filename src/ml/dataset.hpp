@@ -35,9 +35,6 @@ public:
     /// Rows holding each label.
     std::vector<std::size_t> rows_with_label(int label) const;
 
-    /// Merges another dataset with identical feature_count into this one.
-    void append(const Dataset& other);
-
     /// Returns the subset of rows given by `rows`.
     Dataset subset(std::span<const std::size_t> rows) const;
 
@@ -46,17 +43,6 @@ private:
     std::vector<double> features_;  // row-major
     std::vector<int> labels_;
 };
-
-/// A train/test split.
-struct Split {
-    Dataset train;
-    Dataset test;
-};
-
-/// Random stratified split: each class contributes ~`train_fraction` of its
-/// rows to the training set (at least one row per class on each side when
-/// the class has >= 2 rows). Requires 0 < train_fraction < 1.
-Split stratified_split(const Dataset& data, double train_fraction, Rng& rng);
 
 /// Stratified k-fold assignment: returns fold index per row, folds balanced
 /// within each class. Requires folds >= 2 and every class to have at least

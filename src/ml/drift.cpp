@@ -163,10 +163,6 @@ double OnlinePsiGate::psi() const {
     return sum / static_cast<double>(ref_.feature_count());
 }
 
-bool OnlinePsiGate::drifted() const {
-    return ready() && psi() > config_.threshold;
-}
-
 void OnlinePsiGate::reset() {
     pool_.clear();
     for (std::vector<std::uint32_t>& c : counts_) {

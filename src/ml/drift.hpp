@@ -59,10 +59,11 @@ double population_stability_index(const PsiReference& ref,
 /// population_stability_index() on a Dataset of those rows exactly
 /// (same bins, same epsilon floor, same mean over features).
 ///
-/// The streaming pipeline uses drifted() to gate decision smoothing:
-/// when the recent feature population has moved off the training
-/// distribution, per-window labels are extrapolation, and a label flip
-/// should not be trusted as a material change.
+/// The streaming pipeline gates decision smoothing once the gate is
+/// ready() and psi() passes the threshold: when the recent feature
+/// population has moved off the training distribution, per-window labels
+/// are extrapolation, and a label flip should not be trusted as a
+/// material change.
 struct PsiGateConfig {
     std::size_t capacity = 64;     ///< pool size (evict beyond this)
     std::size_t min_samples = 8;   ///< psi() undefined before this
@@ -92,9 +93,6 @@ public:
 
     /// Mean PSI across features for the pooled vectors; requires ready().
     double psi() const;
-
-    /// ready() && psi() > threshold.
-    bool drifted() const;
 
     /// Empties the pool (reference and config stay).
     void reset();

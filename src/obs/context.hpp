@@ -63,8 +63,8 @@ private:
 };
 
 /// Sets the request tag on the current thread's context for the current
-/// scope (restores the previous tag on destruction). Serving paths tag
-/// each request so downstream spans/logs can be correlated.
+/// scope (restores the previous tag on destruction). Log lines written
+/// in the scope carry the tag, so one request's lines can be correlated.
 class ScopedRequestTag {
 public:
     explicit ScopedRequestTag(std::string tag);

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -108,11 +109,15 @@ private:
     Value parse_value() {
         skip_whitespace();
         const char c = peek();
-        if (c == '{') {
-            return parse_object();
-        }
-        if (c == '[') {
-            return parse_array();
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth) {
+                fail("json::parse: nesting deeper than " +
+                     std::to_string(kMaxDepth) + " levels");
+            }
+            ++depth_;
+            Value v = c == '{' ? parse_object() : parse_array();
+            --depth_;
+            return v;
         }
         if (c == '"') {
             Value v;
@@ -279,6 +284,7 @@ private:
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

@@ -45,8 +45,14 @@ struct Value {
     const Value* find(std::string_view key) const;
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so an unbounded depth lets a small hostile file overflow
+/// the stack; the deepest document this repository writes has 4 levels.
+inline constexpr std::size_t kMaxDepth = 64;
+
 /// Parses one JSON document (with trailing whitespace allowed). Throws
-/// wimi::Error on malformed input or trailing garbage.
+/// wimi::Error on malformed input, trailing garbage, or nesting deeper
+/// than kMaxDepth.
 Value parse(std::string_view text);
 
 }  // namespace wimi::obs::json

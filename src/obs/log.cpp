@@ -135,7 +135,6 @@ void Logger::set_path(const std::string& path) {
             std::fclose(sink_);
             sink_ = nullptr;
         }
-        path_.clear();
         return;
     }
     std::FILE* file = std::fopen(path.c_str(), "ab");
@@ -145,12 +144,6 @@ void Logger::set_path(const std::string& path) {
         std::fclose(sink_);
     }
     sink_ = file;
-    path_ = path;
-}
-
-std::string Logger::path() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return path_;
 }
 
 std::string Logger::run_id() const {

@@ -150,7 +150,6 @@ public:
     /// is opened for append. Throws wimi::Error when the file cannot be
     /// opened (the previous sink stays active).
     void set_path(const std::string& path);
-    std::string path() const;
 
     /// Process-unique hex id stamped on every line (regenerated per
     /// process; override for reproducible tests or to join runs).
@@ -173,9 +172,8 @@ public:
 private:
     Logger();
 
-    mutable std::mutex mutex_;  // guards sink_, path_, run_id_
+    mutable std::mutex mutex_;  // guards sink_, run_id_
     std::FILE* sink_ = nullptr;  // nullptr = stderr
-    std::string path_;
     std::string run_id_;
     std::atomic<int> level_{static_cast<int>(LogLevel::kInfo)};
     std::atomic<std::uint64_t> lines_written_{0};

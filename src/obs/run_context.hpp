@@ -54,8 +54,6 @@ class RunContext {
 public:
     explicit RunContext(std::string tool);
 
-    const std::string& tool() const { return tool_; }
-
     /// Records the run's primary RNG seed.
     void set_seed(std::uint64_t seed);
 

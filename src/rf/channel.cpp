@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "rf/fresnel.hpp"
 #include "rf/propagation.hpp"
 
 namespace wimi::rf {
@@ -152,10 +151,9 @@ ChannelMatrix ChannelModel::sample(std::span<const double> frequencies_hz,
                 // common-mode floor) already absorbs them — its floor
                 // represents whatever energy reaches the receiver through
                 // and around the container, interfaces included. Applying
-                // rf::fresnel factors on top would double-count, and for
+                // Fresnel factors on top would double-count, and for
                 // rays that miss the beaker the factor would not cancel in
-                // the antenna ratios. The rf/fresnel module remains
-                // available for interface analysis.
+                // the antenna ratios.
                 sum *= through;
 
                 if (diffraction_strength > 0.0) {

@@ -79,12 +79,6 @@ Complex MaterialProperties::relative_permittivity(
     return {debye.real(), debye.imag() - conduction_loss};
 }
 
-double MaterialProperties::loss_tangent(double frequency_hz) const {
-    const Complex eps = relative_permittivity(frequency_hz);
-    ensure(eps.real() > 0.0, "MaterialProperties: eps' must be positive");
-    return -eps.imag() / eps.real();
-}
-
 const MaterialProperties& material_for(Liquid liquid) {
     const auto index = static_cast<std::size_t>(liquid);
     ensure(index < kLiquids.size(), "material_for: unknown liquid");

@@ -61,9 +61,6 @@ struct MaterialProperties {
     /// Complex relative permittivity eps' - j eps'' at `frequency_hz`.
     /// Requires frequency_hz > 0.
     Complex relative_permittivity(double frequency_hz) const;
-
-    /// Loss tangent eps'' / eps' at `frequency_hz`.
-    double loss_tangent(double frequency_hz) const;
 };
 
 /// Dielectric description of `liquid`.

@@ -30,17 +30,6 @@ PropagationConstants propagation_constants(const MaterialProperties& material,
         material.relative_permittivity(frequency_hz), frequency_hz);
 }
 
-double free_space_beta(double frequency_hz) {
-    ensure(frequency_hz > 0.0, "free_space_beta: frequency must be positive");
-    return kTwoPi * frequency_hz / kSpeedOfLight;
-}
-
-double wavelength_in(const MaterialProperties& material,
-                     double frequency_hz) {
-    return kTwoPi /
-           propagation_constants(material, frequency_hz).beta_rad_per_m;
-}
-
 double free_space_wavelength(double frequency_hz) {
     return kSpeedOfLight / frequency_hz;
 }

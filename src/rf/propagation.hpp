@@ -29,13 +29,6 @@ PropagationConstants propagation_constants(Complex eps_r,
 PropagationConstants propagation_constants(const MaterialProperties& material,
                                            double frequency_hz);
 
-/// Free-space phase constant beta = 2 pi / lambda [rad/m].
-double free_space_beta(double frequency_hz);
-
-/// Wavelength inside a medium [m] (2 pi / beta).
-double wavelength_in(const MaterialProperties& material,
-                     double frequency_hz);
-
 /// Free-space wavelength [m].
 double free_space_wavelength(double frequency_hz);
 

@@ -264,11 +264,6 @@ bool Daemon::shutdown_requested() const {
     return shutdown_requested_;
 }
 
-void Daemon::wait_for_shutdown_request() {
-    std::unique_lock<std::mutex> lock(lifecycle_mutex_);
-    lifecycle_cv_.wait(lock, [this] { return shutdown_requested_; });
-}
-
 DaemonStats Daemon::stats() const {
     DaemonStats stats;
     stats.connections = connections_total_.load(std::memory_order_relaxed);
@@ -541,7 +536,6 @@ wire::Response Daemon::handle_control(const wire::Request& request) {
                 const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
                 shutdown_requested_ = true;
             }
-            lifecycle_cv_.notify_all();
             WIMI_OBS_LOG_INFO(kLogComponent, "shutdown requested");
             return response;
         }

@@ -169,9 +169,6 @@ public:
     /// keeps draining; the owner is expected to call stop().
     bool shutdown_requested() const;
 
-    /// Blocks until shutdown_requested() (the wimi_serve main loop).
-    void wait_for_shutdown_request();
-
     DaemonStats stats() const;
 
     /// The `wimi.stats.v1` admin document served for kStats: uptime,
@@ -241,7 +238,6 @@ private:
     bool batch_stop_ = false;   // batcher exits once the queue is empty
 
     mutable std::mutex lifecycle_mutex_;
-    std::condition_variable lifecycle_cv_;
     bool running_ = false;
     bool shutdown_requested_ = false;
 

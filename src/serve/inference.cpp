@@ -162,11 +162,6 @@ std::shared_ptr<const InferenceEngine> InferenceEngine::load_cached(
     return entry.engine;
 }
 
-void InferenceEngine::invalidate(const std::filesystem::path& path) {
-    std::lock_guard<std::mutex> lock(cache_mutex());
-    cache().erase(model_cache_key(path));
-}
-
 void InferenceEngine::clear_cache() {
     std::lock_guard<std::mutex> lock(cache_mutex());
     cache().clear();

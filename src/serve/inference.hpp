@@ -77,11 +77,6 @@ public:
     static std::shared_ptr<const InferenceEngine> load_cached(
         const std::filesystem::path& path);
 
-    /// Drops the cached engine for `path` (same key resolution as
-    /// load_cached); the next load_cached deserializes fresh. No-op
-    /// when the path is not cached.
-    static void invalidate(const std::filesystem::path& path);
-
     /// Drops every cached engine (test isolation).
     static void clear_cache();
 
@@ -121,7 +116,7 @@ private:
     ModelInfo info_;
 };
 
-/// The cache key load_cached()/invalidate() use for `path`: the weakly
+/// The cache key load_cached() uses for `path`: the weakly
 /// canonical form, falling back to absolute().lexically_normal() when
 /// canonicalization fails — so relative and absolute spellings of one
 /// artifact always share a single cache slot.

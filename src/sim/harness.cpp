@@ -357,23 +357,4 @@ ModelPredictions predict_experiment(const serve::InferenceEngine& engine,
     return out;
 }
 
-ExperimentResult evaluate_with_model(const serve::InferenceEngine& engine,
-                                     const ExperimentConfig& config) {
-    const ModelPredictions predictions = predict_experiment(engine, config);
-    std::vector<int> labels(config.liquids.size());
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        labels[i] = static_cast<int>(i);
-    }
-    ml::ConfusionMatrix confusion(std::move(labels),
-                                  predictions.class_names);
-    for (std::size_t t = 0; t < predictions.truth.size(); ++t) {
-        confusion.record(predictions.truth[t], predictions.predicted[t]);
-    }
-    ExperimentResult result{std::move(confusion), 0.0, 0.0,
-                            predictions.class_names};
-    result.accuracy = result.confusion.accuracy();
-    result.mean_recall = result.confusion.mean_recall();
-    return result;
-}
-
 }  // namespace wimi::sim

@@ -115,11 +115,4 @@ struct ModelPredictions {
 ModelPredictions predict_experiment(const serve::InferenceEngine& engine,
                                     const ExperimentConfig& config);
 
-/// Evaluates a loaded model against freshly captured measurements from
-/// `config` — the inference half of "train once, infer many", runnable
-/// in a process that never saw the training data. predict_experiment
-/// reduced to its confusion matrix.
-ExperimentResult evaluate_with_model(const serve::InferenceEngine& engine,
-                                     const ExperimentConfig& config);
-
 }  // namespace wimi::sim

@@ -152,27 +152,6 @@ double centered_sum_squares(std::span<const double> x, double mu,
         });
 }
 
-double centered_dot(std::span<const double> a, double mu_a,
-                    std::span<const double> b, double mu_b, Path path) {
-    assert(a.size() == b.size());
-    if (!use_vector(path)) {
-        double s = 0.0;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            s += (a[i] - mu_a) * (b[i] - mu_b);
-        }
-        return s;
-    }
-    const vd va = vd::broadcast(mu_a);
-    const vd vb = vd::broadcast(mu_b);
-    return reduce_vector(
-        a.size(),
-        [&](std::size_t i) {
-            return (vd::load(a.data() + i) - va) *
-                   (vd::load(b.data() + i) - vb);
-        },
-        [&](std::size_t i) { return (a[i] - mu_a) * (b[i] - mu_b); });
-}
-
 bool all_finite(std::span<const double> x, Path path) {
     const std::size_t n = x.size();
     if (!use_vector(path)) {
@@ -243,22 +222,6 @@ void add_in_place(std::span<double> out, std::span<const double> x,
     }
     for (; i < n; ++i) {
         out[i] += x[i];
-    }
-}
-
-void scale(std::span<const double> x, double s, std::span<double> out,
-           Path path) {
-    assert(x.size() == out.size());
-    const std::size_t n = x.size();
-    std::size_t i = 0;
-    if (use_vector(path)) {
-        const vd vs = vd::broadcast(s);
-        for (; i + kLanes <= n; i += kLanes) {
-            (vs * vd::load(x.data() + i)).store(out.data() + i);
-        }
-    }
-    for (; i < n; ++i) {
-        out[i] = s * x[i];
     }
 }
 

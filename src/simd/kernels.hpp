@@ -10,16 +10,16 @@
 //
 // Bit-exactness classification (enforced by tests/test_simd_kernels.cpp):
 //   bit-exact (vector == scalar on every input):
-//     multiply, subtract, scale, divide, absolute_deviation,
+//     multiply, subtract, add_in_place, divide, absolute_deviation,
 //     atrous_smooth, sliding_median, biquad_cascade, zero_dominated,
 //     squared_distance_columns, dot_columns, all_finite (predicate),
 //     median (up to the sign of a zero that ties with its opposite)
 //   tolerance-gated (vector reassociates or uses a different but
 //   correctly-rounded-per-op formula; drift covered by simd.* rules in
 //   bench/baselines/rules.json):
-//     sum, sum_squares, dot, squared_distance, centered_sum_squares,
-//     centered_dot (chunked Kahan partial sums merged in index order —
-//     deterministic per width, but not the sequential order), amplitude
+//     sum, sum_squares, dot, squared_distance, centered_sum_squares
+//     (chunked Kahan partial sums merged in index order — deterministic
+//     per width, but not the sequential order), amplitude
 //     (sqrt(re^2+im^2) vs std::abs's overflow-safe hypot), complex_ratio
 //     (textbook formula vs libstdc++'s Smith division).
 #pragma once
@@ -51,15 +51,9 @@ double squared_distance(std::span<const double> a, std::span<const double> b,
                         Path path = Path::kAuto);
 
 /// Sum of (x[i]-mu)^2, same scheme as sum(). The centered-moment core of
-/// dsp::variance / sample_variance.
+/// dsp::variance.
 double centered_sum_squares(std::span<const double> x, double mu,
                             Path path = Path::kAuto);
-
-/// Sum of (a[i]-mu_a)*(b[i]-mu_b) (sizes must match), same scheme as
-/// sum(). The covariance core of dsp::pearson_correlation.
-double centered_dot(std::span<const double> a, double mu_a,
-                    std::span<const double> b, double mu_b,
-                    Path path = Path::kAuto);
 
 /// True iff every element is finite. Both paths agree on every input:
 /// the vector path accumulates x*0.0 (±0 for finite x, NaN for
@@ -79,13 +73,8 @@ void subtract(std::span<const double> a, std::span<const double> b,
 void add_in_place(std::span<double> out, std::span<const double> x,
                   Path path = Path::kAuto);
 
-/// out[i] = s * x[i]. Bit-exact across paths.
-void scale(std::span<const double> x, double s, std::span<double> out,
-           Path path = Path::kAuto);
-
 /// out[i] = a[i] / b[i]. IEEE division is correctly rounded per lane, so
-/// this is bit-exact across paths (unlike scale(x, 1/d, out), which
-/// rounds the reciprocal once and each product again).
+/// this is bit-exact across paths.
 void divide(std::span<const double> a, std::span<const double> b,
             std::span<double> out, Path path = Path::kAuto);
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "csi/frame.hpp"
@@ -25,8 +27,10 @@ csi::CsiSeries asymmetric_noise_series(std::size_t packets,
             frame.at(1, k) =
                 std::polar(1.0 + rng.gaussian(0.0, 0.01),
                            rng.gaussian(-0.2, 0.01));
+            // std::polar requires a non-negative radius; a 0.3 spread
+            // around 1 dips below zero now and then.
             frame.at(2, k) =
-                std::polar(1.0 + rng.gaussian(0.0, 0.3),
+                std::polar(std::abs(1.0 + rng.gaussian(0.0, 0.3)),
                            rng.gaussian(0.5, 0.4));
         }
         series.frames.push_back(std::move(frame));

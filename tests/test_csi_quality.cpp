@@ -38,8 +38,11 @@ TEST(AmplitudeCv, TracksRelativeNotAbsoluteSpread) {
 }
 
 TEST(AmplitudeQuality, WorstCellStandsOutInCvMax) {
-    // One noisy chain among quiet ones: cv_max must report the bad chain
-    // while cv_mean stays pulled down by the healthy ones.
+#if defined(WIMI_OBS_DISABLED)
+    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)";
+#endif
+    // One noisy chain among quiet ones: the cv_max gauge must report the
+    // bad chain while cv_mean stays pulled down by the healthy ones.
     const auto series = synthetic_series({1.0, 1.0}, {0.0, 0.0}, 2000,
                                          0.0, 0.0, 5);
     auto noisy = synthetic_series({1.0, 1.0}, {0.0, 0.0}, 2000,
@@ -51,9 +54,23 @@ TEST(AmplitudeQuality, WorstCellStandsOutInCvMax) {
             mixed.frames[p].at(1, k) = noisy.frames[p].at(1, k);
         }
     }
-    const AmplitudeQuality q = amplitude_quality(mixed);
-    EXPECT_NEAR(q.cv_max, 0.2, 0.05);
-    EXPECT_LT(q.cv_mean, q.cv_max / 1.5);
+    obs::set_enabled(true);
+    obs::registry().reset();
+    record_signal_quality(mixed);
+    double cv_mean = -1.0;
+    double cv_max = -1.0;
+    for (const auto& [name, value] : obs::registry().snapshot().gauges) {
+        if (name == "quality.amplitude.cv_mean") {
+            cv_mean = value;
+        }
+        if (name == "quality.amplitude.cv_max") {
+            cv_max = value;
+        }
+    }
+    obs::registry().reset();
+    EXPECT_NEAR(cv_max, 0.2, 0.05);
+    EXPECT_GE(cv_mean, 0.0);
+    EXPECT_LT(cv_mean, cv_max / 1.5);
 }
 
 TEST(RatioStability, CommonModeGainCancels) {

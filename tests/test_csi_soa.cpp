@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -91,29 +90,12 @@ TEST(CsiSoa, SimdAmplitudePlaneWithinUlpOfLegacy) {
     }
 }
 
-TEST(CsiSoa, PhasePlaneBitIdenticalToAtan2) {
-    const auto series = make_series(32, 2, 4, 5);
-    const CsiSoa soa(series);
-    for (std::size_t a = 0; a < 2; ++a) {
-        for (std::size_t k = 0; k < 4; ++k) {
-            const auto plane = soa.phase_plane(a, k);
-            for (std::size_t m = 0; m < 32; ++m) {
-                const Complex h = series.frames[m].at(a, k);
-                EXPECT_EQ(plane[m], std::atan2(h.imag(), h.real()));
-            }
-        }
-    }
-}
-
 TEST(CsiSoa, LazyPlanesAreCachedStableSpans) {
     const auto series = make_series(16, 2, 3, 6);
     const CsiSoa soa(series);
     const auto first = soa.amplitude_plane(1, 2);
     const auto second = soa.amplitude_plane(1, 2);
     EXPECT_EQ(first.data(), second.data());  // same backing storage
-    const auto p1 = soa.phase_plane(0, 0);
-    const auto p2 = soa.phase_plane(0, 0);
-    EXPECT_EQ(p1.data(), p2.data());
 }
 
 TEST(CsiSoa, RejectsEmptyAndInconsistentSeries) {
@@ -130,7 +112,6 @@ TEST(CsiSoa, PlaneAccessorsBoundsChecked) {
     EXPECT_THROW(soa.real_plane(2, 0), Error);
     EXPECT_THROW(soa.imag_plane(0, 3), Error);
     EXPECT_THROW(soa.amplitude_plane(2, 3), Error);
-    EXPECT_THROW(soa.phase_plane(5, 5), Error);
 }
 
 }  // namespace

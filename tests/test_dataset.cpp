@@ -73,45 +73,6 @@ TEST(Dataset, SubsetPreservesContent) {
     }
 }
 
-TEST(Dataset, AppendMergesRows) {
-    auto a = three_class_dataset(2);
-    const auto b = three_class_dataset(1);
-    a.append(b);
-    EXPECT_EQ(a.size(), 9u);
-    Dataset wrong(5);
-    wrong.add(std::vector<double>(5, 0.0), 0);
-    EXPECT_THROW(a.append(wrong), Error);
-}
-
-TEST(StratifiedSplit, PerClassProportions) {
-    const auto data = three_class_dataset(10);
-    Rng rng(1);
-    const auto split = stratified_split(data, 0.7, rng);
-    EXPECT_EQ(split.train.size() + split.test.size(), data.size());
-    for (int label = 0; label < 3; ++label) {
-        EXPECT_EQ(split.train.rows_with_label(label).size(), 7u);
-        EXPECT_EQ(split.test.rows_with_label(label).size(), 3u);
-    }
-}
-
-TEST(StratifiedSplit, EveryClassOnBothSides) {
-    const auto data = three_class_dataset(2);
-    Rng rng(2);
-    const auto split = stratified_split(data, 0.9, rng);
-    for (int label = 0; label < 3; ++label) {
-        EXPECT_GE(split.train.rows_with_label(label).size(), 1u);
-        EXPECT_GE(split.test.rows_with_label(label).size(), 1u);
-    }
-}
-
-TEST(StratifiedSplit, Validation) {
-    const auto data = three_class_dataset(2);
-    Rng rng(3);
-    EXPECT_THROW(stratified_split(data, 0.0, rng), Error);
-    EXPECT_THROW(stratified_split(data, 1.0, rng), Error);
-    EXPECT_THROW(stratified_split(Dataset(1), 0.5, rng), Error);
-}
-
 TEST(StratifiedFolds, BalancedWithinClass) {
     const auto data = three_class_dataset(10);
     Rng rng(4);

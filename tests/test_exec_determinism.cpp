@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "exec/parallel.hpp"
 #include "ml/dataset.hpp"
-#include "ml/grid_search.hpp"
 #include "ml/metrics.hpp"
 #include "ml/scaler.hpp"
 #include "ml/svm.hpp"
@@ -133,28 +132,6 @@ TEST_F(ExecDeterminismTest, MulticlassSvmTrainingIdenticalAcrossWidths) {
             << "row " << row;
         EXPECT_EQ(serial.votes(scaled.features(row)),
                   parallel.votes(scaled.features(row)));
-    }
-}
-
-TEST_F(ExecDeterminismTest, GridSearchIdenticalAcrossWidths) {
-    const auto data = blobs(11, 3, 12, 0.6);
-    ml::GridSearchConfig config;
-    config.folds = 3;
-
-    exec::set_thread_count(1);
-    const auto serial = ml::tune_svm(data, config);
-    exec::set_thread_count(4);
-    const auto parallel = ml::tune_svm(data, config);
-
-    EXPECT_EQ(serial.best.c, parallel.best.c);
-    EXPECT_EQ(serial.best.gamma, parallel.best.gamma);
-    EXPECT_EQ(serial.best_accuracy, parallel.best_accuracy);
-    ASSERT_EQ(serial.evaluated.size(), parallel.evaluated.size());
-    for (std::size_t p = 0; p < serial.evaluated.size(); ++p) {
-        EXPECT_EQ(serial.evaluated[p].c, parallel.evaluated[p].c);
-        EXPECT_EQ(serial.evaluated[p].gamma, parallel.evaluated[p].gamma);
-        EXPECT_EQ(serial.evaluated[p].cv_accuracy,
-                  parallel.evaluated[p].cv_accuracy);
     }
 }
 

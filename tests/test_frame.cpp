@@ -95,26 +95,6 @@ TEST(CsiSeries, PhaseDifferenceSeriesWrapped) {
     EXPECT_NEAR(diffs[0], 6.0 - 2.0 * kPi, 1e-12);
 }
 
-TEST(CsiSeries, AmplitudeRatioSeries) {
-    CsiSeries series;
-    CsiFrame frame(2, 1);
-    frame.at(0, 0) = Complex(4.0, 0.0);
-    frame.at(1, 0) = Complex(0.0, 2.0);
-    series.frames.push_back(frame);
-    const auto ratios = series.amplitude_ratio_series(0, 1, 0);
-    ASSERT_EQ(ratios.size(), 1u);
-    EXPECT_DOUBLE_EQ(ratios[0], 2.0);
-}
-
-TEST(CsiSeries, AmplitudeRatioRejectsZeroDenominator) {
-    CsiSeries series;
-    CsiFrame frame(2, 1);
-    frame.at(0, 0) = Complex(1.0, 0.0);
-    frame.at(1, 0) = Complex(0.0, 0.0);
-    series.frames.push_back(frame);
-    EXPECT_THROW(series.amplitude_ratio_series(0, 1, 0), Error);
-}
-
 TEST(CsiFrame, IsFiniteChecksEveryStoredValue) {
     CsiFrame frame(2, 2);
     frame.at(0, 0) = Complex(1.0, -2.0);
@@ -128,22 +108,6 @@ TEST(CsiFrame, IsFiniteChecksEveryStoredValue) {
     frame.timestamp_s = 0.0;
     frame.rssi_dbm = -std::numeric_limits<double>::infinity();
     EXPECT_FALSE(frame.is_finite());
-}
-
-TEST(CsiSeries, ValidateFiniteNamesTheBadFrame) {
-    CsiSeries series;
-    series.frames.emplace_back(1, 2);
-    series.frames.emplace_back(1, 2);
-    series.validate_finite();
-    series.frames[1].at(0, 1) =
-        Complex(std::numeric_limits<double>::quiet_NaN(), 0.0);
-    try {
-        series.validate_finite();
-        FAIL() << "expected wimi::Error";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("frame 1"),
-                  std::string::npos);
-    }
 }
 
 }  // namespace

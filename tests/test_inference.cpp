@@ -48,11 +48,16 @@ TEST(Inference, SnapshotRequiresTrainedSvm) {
 TEST(Inference, PredictsCapturedMeasurements) {
     const InferenceEngine engine(trained_model());
     const sim::ExperimentConfig eval = small_config(8);
-    const sim::ExperimentResult result =
-        sim::evaluate_with_model(engine, eval);
-    EXPECT_EQ(result.confusion.total(), 20u);
+    const sim::ModelPredictions result =
+        sim::predict_experiment(engine, eval);
+    ASSERT_EQ(result.truth.size(), 20u);
+    ASSERT_EQ(result.predicted.size(), 20u);
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < result.truth.size(); ++i) {
+        correct += result.predicted[i] == result.truth[i] ? 1 : 0;
+    }
     // Unseen captures of well-separated liquids: far above chance.
-    EXPECT_GT(result.accuracy, 0.5);
+    EXPECT_GT(correct, 10u);
 }
 
 TEST(Inference, BatchIsBitIdenticalAcrossThreadWidths) {
@@ -161,29 +166,10 @@ TEST(Inference, CacheSurvivesMtimeBumpWithSameBytes) {
     std::filesystem::remove(path);
 }
 
-TEST(Inference, InvalidateDropsOnePath) {
-    const auto dir = std::filesystem::temp_directory_path();
-    const auto path_a = dir / "wimi_inference_inv_a.wmdl";
-    const auto path_b = dir / "wimi_inference_inv_b.wmdl";
-    save_model_file(path_a, trained_model());
-    save_model_file(path_b, trained_model());
-    InferenceEngine::clear_cache();
-    const auto a1 = InferenceEngine::load_cached(path_a);
-    const auto b1 = InferenceEngine::load_cached(path_b);
-    InferenceEngine::invalidate(path_a);
-    EXPECT_NE(InferenceEngine::load_cached(path_a).get(), a1.get());
-    EXPECT_EQ(InferenceEngine::load_cached(path_b).get(), b1.get());
-    // Unknown paths are a no-op, not an error.
-    InferenceEngine::invalidate("/nonexistent/nothing.wmdl");
-    InferenceEngine::clear_cache();
-    std::filesystem::remove(path_a);
-    std::filesystem::remove(path_b);
-}
-
 /// Regression: when canonicalization failed, the old fallback key was
 /// the raw path string, so "model.wmdl" spelled via a dot-dot detour
 /// landed in a different cache slot than its plain spelling — two
-/// engines for one artifact, and invalidate() missing one of them.
+/// engines for one artifact.
 TEST(Inference, CacheKeyNormalizesAliasedSpellings) {
     const auto dir = std::filesystem::temp_directory_path();
     const auto plain = dir / "wimi_inference_alias.wmdl";

@@ -79,8 +79,11 @@ TEST_P(SizeIndependence, FeatureStableAcrossBeakerSizes) {
         for (int rep = 0; rep < reps; ++rep) {
             const auto m =
                 scenario.capture_measurement(liquid, rng.next_u64());
-            const auto meas = core::measure_material(
-                m.baseline, m.target, {0, 1}, wimi.subcarriers()[0], {});
+            const auto meas =
+                core::BaselineReference(csi::CsiSoa(m.baseline), {{0, 1}},
+                                        {wimi.subcarriers()[0]}, {})
+                    .measure(csi::CsiSoa(m.target))
+                    .front();
             omega += meas.omega;
             // Unwrapped phase change (the small beaker's edge-grazing
             // chords push the reference pair past -pi).

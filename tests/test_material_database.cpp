@@ -31,7 +31,7 @@ TEST(MaterialDatabase, SamplesAccumulate) {
     db.add_sample(id, std::vector<double>{0.6, 0.61});
     db.add_sample(id, std::vector<double>{0.59, 0.62});
     EXPECT_EQ(db.sample_count(), 2u);
-    EXPECT_EQ(db.samples_for(id), 2u);
+    EXPECT_EQ(db.dataset().rows_with_label(id).size(), 2u);
     EXPECT_EQ(db.feature_count(), 2u);
     EXPECT_THROW(db.add_sample(42, std::vector<double>{0.0, 0.0}), Error);
     EXPECT_THROW(db.add_sample(id, std::vector<double>{0.0}), Error);
@@ -66,7 +66,7 @@ TEST(MaterialDatabase, SaveLoadRoundTrip) {
     EXPECT_EQ(loaded.material_count(), 2u);
     EXPECT_EQ(loaded.sample_count(), 3u);
     EXPECT_EQ(loaded.material_name(water), "Pure water");  // spaces kept
-    EXPECT_EQ(loaded.samples_for(water), 2u);
+    EXPECT_EQ(loaded.dataset().rows_with_label(water).size(), 2u);
     for (std::size_t row = 0; row < db.dataset().size(); ++row) {
         EXPECT_EQ(loaded.dataset().label(row), db.dataset().label(row));
         for (std::size_t j = 0; j < 3; ++j) {

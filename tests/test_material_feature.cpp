@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "pipeline_test_util.hpp"
@@ -37,6 +39,22 @@ SyntheticTarget make_target(double alpha, double beta,
     }
     out.target = synthetic_series(amps, phases, packets, 0.0, 0.0, 3);
     return out;
+}
+
+/// Every pair's measurement at one subcarrier, through the production
+/// baseline and target halves.
+std::vector<MaterialMeasurement> measure_pairs(
+    const csi::CsiSeries& baseline, const csi::CsiSeries& target,
+    std::vector<AntennaPair> pairs, std::size_t subcarrier) {
+    return BaselineReference(csi::CsiSoa(baseline), std::move(pairs),
+                             {subcarrier}, {})
+        .measure(csi::CsiSoa(target));
+}
+
+MaterialMeasurement measure_pair(const csi::CsiSeries& baseline,
+                                 const csi::CsiSeries& target,
+                                 AntennaPair pair, std::size_t subcarrier) {
+    return measure_pairs(baseline, target, {pair}, subcarrier).front();
 }
 
 // A material with Omega = alpha/beta in our negated-sign convention.
@@ -78,7 +96,7 @@ TEST(EstimateGamma, Validation) {
 TEST(MeasureMaterial, RecoversPhaseAndAmplitudeChanges) {
     const auto t = make_target(kAlpha, kBeta, {0.0021, 0.0009});
     const auto m =
-        measure_material(t.baseline, t.target, {0, 1}, 4, {});
+        measure_pair(t.baseline, t.target, {0, 1}, 4);
     const double depth_diff = 0.0021 - 0.0009;
     EXPECT_NEAR(m.delta_theta_rad, -kBeta * depth_diff, 1e-9);
     EXPECT_NEAR(m.delta_psi, std::exp(-kAlpha * depth_diff), 1e-9);
@@ -92,9 +110,9 @@ TEST(MeasureMaterial, FeatureIndependentOfTargetSize) {
     const auto small = make_target(kAlpha, kBeta, {0.0012, 0.0004});
     const auto large = make_target(kAlpha, kBeta, {0.0028, 0.0013});
     const auto m_small =
-        measure_material(small.baseline, small.target, {0, 1}, 0, {});
+        measure_pair(small.baseline, small.target, {0, 1}, 0);
     const auto m_large =
-        measure_material(large.baseline, large.target, {0, 1}, 0, {});
+        measure_pair(large.baseline, large.target, {0, 1}, 0);
     // Depth differences differ by ~2x, features by a few percent (ridge).
     EXPECT_NE(m_small.delta_theta_rad, m_large.delta_theta_rad);
     EXPECT_NEAR(m_small.omega, m_large.omega,
@@ -106,9 +124,9 @@ TEST(MeasureMaterial, DistinguishesMaterials) {
     const auto water = make_target(120.0, 850.0, depths);
     const auto honey = make_target(123.0, 230.0, depths);
     const auto m_water =
-        measure_material(water.baseline, water.target, {0, 1}, 0, {});
+        measure_pair(water.baseline, water.target, {0, 1}, 0);
     const auto m_honey =
-        measure_material(honey.baseline, honey.target, {0, 1}, 0, {});
+        measure_pair(honey.baseline, honey.target, {0, 1}, 0);
     EXPECT_GT(m_honey.omega, m_water.omega);  // larger feature
 }
 
@@ -121,7 +139,7 @@ TEST(MeasureMaterial, ToleratesNoise) {
     t.baseline = synthetic_series({1.0, 1.0}, {0.3, 0.3}, 256, 0.02, 0.02,
                                   5);
     t.target = synthetic_series(amps, phases, 256, 0.02, 0.02, 6);
-    const auto m = measure_material(t.baseline, t.target, {0, 1}, 0, {});
+    const auto m = measure_pair(t.baseline, t.target, {0, 1}, 0);
     EXPECT_NEAR(m.omega, kExpectedOmega, 0.25 * std::abs(kExpectedOmega));
 }
 
@@ -132,7 +150,7 @@ TEST(MeasureMaterialPairs, CrossPairWrapRecovery) {
     const auto t = make_target(kAlpha, kBeta, depths);
     const std::vector<AntennaPair> pairs = {{0, 1}, {0, 2}};
     const auto ms =
-        measure_material_pairs(t.baseline, t.target, pairs, 0, {});
+        measure_pairs(t.baseline, t.target, pairs, 0);
     ASSERT_EQ(ms.size(), 2u);
     // Reference: depth diff 0.002 -> -1.7 rad, no wrap.
     EXPECT_EQ(ms[0].gamma, 0);
@@ -150,7 +168,7 @@ TEST(MeasureMaterialPairs, LossFreeReferenceKeepsGammaZero) {
     const auto t = make_target(0.5, 60.0, {0.009, 0.007, 0.001});
     const std::vector<AntennaPair> pairs = {{0, 1}, {0, 2}};
     const auto ms =
-        measure_material_pairs(t.baseline, t.target, pairs, 0, {});
+        measure_pairs(t.baseline, t.target, pairs, 0);
     EXPECT_EQ(ms[1].gamma, 0);
 }
 
@@ -174,7 +192,8 @@ TEST(ExtractFeatureVector, Validation) {
                                         {}),
                  Error);
     const csi::CsiSeries empty;
-    EXPECT_THROW(measure_material(empty, t.target, {0, 1}, 0, {}), Error);
+    EXPECT_THROW(extract_feature_vector(empty, t.target, {{0, 1}}, {0}, {}),
+                 Error);
 }
 
 // Property: the feature is invariant under a global amplitude scale
@@ -186,7 +205,7 @@ TEST_P(FeatureInvariance, GainAndPhaseInvariant) {
     const double scale = GetParam();
     auto t = make_target(kAlpha, kBeta, {0.0021, 0.0009});
     const auto reference =
-        measure_material(t.baseline, t.target, {0, 1}, 0, {});
+        measure_pair(t.baseline, t.target, {0, 1}, 0);
     for (auto* series : {&t.baseline, &t.target}) {
         for (auto& frame : series->frames) {
             for (Complex& h : frame.raw()) {
@@ -195,7 +214,7 @@ TEST_P(FeatureInvariance, GainAndPhaseInvariant) {
         }
     }
     const auto transformed =
-        measure_material(t.baseline, t.target, {0, 1}, 0, {});
+        measure_pair(t.baseline, t.target, {0, 1}, 0);
     EXPECT_NEAR(transformed.omega, reference.omega, 1e-9);
     EXPECT_NEAR(transformed.delta_theta_rad, reference.delta_theta_rad,
                 1e-9);

@@ -25,41 +25,20 @@ TEST(Math, WrapToPiBoundaryIsPlusPi) {
     EXPECT_NEAR(wrap_to_pi(-kPi), kPi, 1e-12);
 }
 
-TEST(Math, WrapToTwoPi) {
-    EXPECT_NEAR(wrap_to_two_pi(-0.1), kTwoPi - 0.1, 1e-12);
-    EXPECT_NEAR(wrap_to_two_pi(kTwoPi + 0.3), 0.3, 1e-12);
-    EXPECT_NEAR(wrap_to_two_pi(1.0), 1.0, 1e-12);
-}
-
 TEST(Math, DegreesRadians) {
-    EXPECT_NEAR(deg_to_rad(180.0), kPi, 1e-12);
+    EXPECT_NEAR(rad_to_deg(kPi), 180.0, 1e-12);
     EXPECT_NEAR(rad_to_deg(kPi / 2.0), 90.0, 1e-12);
-    EXPECT_NEAR(rad_to_deg(deg_to_rad(37.5)), 37.5, 1e-12);
-}
-
-TEST(Math, NepersDecibels) {
-    // 1 Np = 8.685889638 dB.
-    EXPECT_NEAR(nepers_to_db(1.0), 8.685889638, 1e-6);
-    EXPECT_NEAR(db_to_nepers(nepers_to_db(0.37)), 0.37, 1e-12);
 }
 
 TEST(Math, PowerAmplitudeDb) {
-    EXPECT_NEAR(power_to_db(100.0), 20.0, 1e-12);
-    EXPECT_NEAR(amplitude_to_db(10.0), 20.0, 1e-12);
     EXPECT_NEAR(db_to_amplitude(-6.0), 0.5011872336, 1e-9);
-    EXPECT_NEAR(db_to_amplitude(amplitude_to_db(3.7)), 3.7, 1e-12);
+    EXPECT_NEAR(db_to_amplitude(20.0), 10.0, 1e-12);
 }
 
 TEST(Math, Clamp) {
     EXPECT_EQ(clamp(5.0, 0.0, 1.0), 1.0);
     EXPECT_EQ(clamp(-5.0, 0.0, 1.0), 0.0);
     EXPECT_EQ(clamp(0.4, 0.0, 1.0), 0.4);
-}
-
-TEST(Math, ApproxEqual) {
-    EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-    EXPECT_FALSE(approx_equal(1.0, 1.1));
-    EXPECT_TRUE(approx_equal(1.0, 1.05, 0.1));
 }
 
 TEST(Math, PhysicalConstants) {

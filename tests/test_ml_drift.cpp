@@ -184,6 +184,12 @@ TEST(OnlinePsiGateTest, EvictionKeepsOnlyTheNewestCapacityRows) {
               population_stability_index(ref, pool_as_dataset(newest)));
 }
 
+/// The streaming pipeline's drift condition (StreamingPipeline's
+/// drift_gated): a ready gate whose PSI passes the threshold.
+bool drifted(const OnlinePsiGate& gate) {
+    return gate.ready() && gate.psi() > gate.config().threshold;
+}
+
 TEST(OnlinePsiGateTest, DriftedTracksReadinessAndThreshold) {
     // Coarse (4-bin) reference: PSI over a pool of dozens of samples is
     // dominated by the shift, not multinomial sampling noise.
@@ -191,7 +197,7 @@ TEST(OnlinePsiGateTest, DriftedTracksReadinessAndThreshold) {
         make_psi_reference(gaussian_dataset(2000, 3, 0.0, 1.0, 11), 4);
     OnlinePsiGate gate(ref, {64, 16, 0.25});
     EXPECT_FALSE(gate.ready());
-    EXPECT_FALSE(gate.drifted());  // never drifted before min_samples
+    EXPECT_FALSE(drifted(gate));  // never drifted before min_samples
 
     // In-distribution fill: ready but stable.
     for (const auto& row : gaussian_rows(64, 3, 0.0, 31)) {
@@ -199,19 +205,19 @@ TEST(OnlinePsiGateTest, DriftedTracksReadinessAndThreshold) {
     }
     EXPECT_TRUE(gate.ready());
     EXPECT_LT(gate.psi(), 0.25);
-    EXPECT_FALSE(gate.drifted());
+    EXPECT_FALSE(drifted(gate));
 
     // Shifted population floods the pool: the gate must trip.
     for (const auto& row : gaussian_rows(64, 3, 3.0, 33)) {
         gate.add(row);
     }
     EXPECT_GT(gate.psi(), 0.25);
-    EXPECT_TRUE(gate.drifted());
+    EXPECT_TRUE(drifted(gate));
 
     gate.reset();
     EXPECT_EQ(gate.size(), 0u);
     EXPECT_FALSE(gate.ready());
-    EXPECT_FALSE(gate.drifted());
+    EXPECT_FALSE(drifted(gate));
 }
 
 TEST(OnlinePsiGateTest, RejectsBadConfigsAndMismatchedRows) {

@@ -40,27 +40,76 @@ TEST(ObsJson, FiniteNumbersRoundTripExactly) {
     }
 }
 
-TEST(ObsJson, DeepNestingParses) {
-    constexpr int kDepth = 1000;
+/// `depth` nested arrays around the number 42.
+std::string nested_arrays(std::size_t depth) {
+    return std::string(depth, '[') + "42" + std::string(depth, ']');
+}
+
+/// `depth` nested single-member objects {"k":...} around the number 42.
+std::string nested_objects(std::size_t depth) {
     std::string text;
-    for (int i = 0; i < kDepth; ++i) {
-        text += '[';
+    for (std::size_t i = 0; i < depth; ++i) {
+        text += "{\"k\":";
     }
-    text += "42";
-    for (int i = 0; i < kDepth; ++i) {
-        text += ']';
+    return text + "42" + std::string(depth, '}');
+}
+
+/// Runs `call`, which must throw wimi::Error, and returns its message.
+template <typename Call>
+std::string error_message(Call&& call) {
+    try {
+        call();
+    } catch (const wimi::Error& e) {
+        return e.what();
     }
-    const Value doc = parse(text);
+    ADD_FAILURE() << "no wimi::Error thrown";
+    return {};
+}
+
+TEST(ObsJson, DeepNestingParses) {
+    // A document exactly at the nesting limit parses in full.
+    const Value doc = parse(nested_arrays(kMaxDepth));
     const Value* v = &doc;
-    int depth = 0;
+    std::size_t depth = 0;
     while (v->is_array()) {
         ASSERT_EQ(v->array.size(), 1u);
         v = &v->array[0];
         ++depth;
     }
-    EXPECT_EQ(depth, kDepth);
+    EXPECT_EQ(depth, kMaxDepth);
     ASSERT_TRUE(v->is_number());
     EXPECT_EQ(v->num, 42.0);
+
+    const Value objects = parse(nested_objects(kMaxDepth));
+    v = &objects;
+    depth = 0;
+    while (v->is_object()) {
+        v = v->find("k");
+        ASSERT_NE(v, nullptr);
+        ++depth;
+    }
+    EXPECT_EQ(depth, kMaxDepth);
+}
+
+TEST(ObsJson, NestingPastTheLimitThrowsInsteadOfOverflowingTheStack) {
+    // 100,000 levels (a 200 KB file) would overflow the stack of an
+    // unbounded recursive descent; the parser stops one level past the
+    // limit.
+    const std::string message = "json::parse: nesting deeper than " +
+                                std::to_string(kMaxDepth) + " levels";
+    EXPECT_EQ(error_message([] { parse(nested_arrays(100000)); }), message);
+    EXPECT_EQ(error_message([] { parse(nested_objects(100000)); }), message);
+    EXPECT_EQ(error_message([] { parse(nested_arrays(kMaxDepth + 1)); }),
+              message);
+    EXPECT_EQ(error_message([] { parse(nested_objects(kMaxDepth + 1)); }),
+              message);
+    // Depth counts open containers, not siblings: a long flat array of
+    // shallow members is fine.
+    std::string wide = "[";
+    for (int i = 0; i < 10000; ++i) {
+        wide += i == 0 ? "[1]" : ",[1]";
+    }
+    EXPECT_EQ(parse(wide + "]").array.size(), 10000u);
 }
 
 TEST(ObsJson, Utf8PassesThroughEscapeAndParse) {

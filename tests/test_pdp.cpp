@@ -28,10 +28,18 @@ CsiFrame single_path_frame(std::size_t bin, std::size_t fft_size) {
     return frame;
 }
 
+/// The profile of one frame: the average over a one-frame series.
+PowerDelayProfile frame_profile(const CsiFrame& frame, std::size_t antenna,
+                                std::size_t fft_size) {
+    CsiSeries series;
+    series.frames.push_back(frame);
+    return average_power_delay_profile(series, antenna, fft_size);
+}
+
 TEST(Pdp, SinglePathPeaksAtItsDelay) {
     const std::size_t fft_size = 128;
     const auto frame = single_path_frame(10, fft_size);
-    const auto profile = power_delay_profile(frame, 0, fft_size);
+    const auto profile = frame_profile(frame, 0, fft_size);
     ASSERT_EQ(profile.power.size(), fft_size);
     const auto peak =
         std::max_element(profile.power.begin(), profile.power.end());
@@ -41,7 +49,7 @@ TEST(Pdp, SinglePathPeaksAtItsDelay) {
 
 TEST(Pdp, BinSpacingMatchesBandwidth) {
     const auto frame = single_path_frame(0, 128);
-    const auto profile = power_delay_profile(frame, 0, 128);
+    const auto profile = frame_profile(frame, 0, 128);
     EXPECT_NEAR(profile.bin_spacing_s, 1.0 / (128.0 * kSubcarrierSpacingHz),
                 1e-15);
 }
@@ -57,7 +65,7 @@ TEST(Pdp, TwoPathsGiveTwoPeaks) {
         frame.at(0, k) =
             std::polar(1.0, phase1) + std::polar(0.5, phase2);
     }
-    const auto profile = power_delay_profile(frame, 0, fft_size);
+    const auto profile = frame_profile(frame, 0, fft_size);
     EXPECT_GT(profile.power[4], 0.9);
     EXPECT_GT(profile.power[20], 0.1);
     EXPECT_LT(profile.power[12], profile.power[20]);
@@ -65,7 +73,7 @@ TEST(Pdp, TwoPathsGiveTwoPeaks) {
 
 TEST(Pdp, RmsDelaySpreadSmallForSinglePath) {
     const auto frame = single_path_frame(6, 128);
-    const auto single = power_delay_profile(frame, 0, 128);
+    const auto single = frame_profile(frame, 0, 128);
     // A single discrete path: the residual spread is window leakage (the
     // 30-subcarrier rectangular window's sidelobes plus the grouped-grid
     // comb), bounded well below the 50 ns resolution cell...
@@ -79,7 +87,7 @@ TEST(Pdp, RmsDelaySpreadSmallForSinglePath) {
         two_path.at(0, k) = std::polar(1.0, -kTwoPi * 6.0 * o / 128.0) +
                             std::polar(0.9, -kTwoPi * 46.0 * o / 128.0);
     }
-    const auto dual = power_delay_profile(two_path, 0, 128);
+    const auto dual = frame_profile(two_path, 0, 128);
     EXPECT_GT(rms_delay_spread(dual), 1.5 * rms_delay_spread(single));
 }
 
@@ -114,9 +122,9 @@ TEST(Pdp, FarEchoEnergyVisibleInProfile) {
 
 TEST(Pdp, Validation) {
     const auto frame = single_path_frame(0, 128);
-    EXPECT_THROW(power_delay_profile(frame, 5, 128), Error);
-    EXPECT_THROW(power_delay_profile(frame, 0, 100), Error);  // not pow2
-    EXPECT_THROW(power_delay_profile(frame, 0, 32), Error);   // too small
+    EXPECT_THROW(frame_profile(frame, 5, 128), Error);
+    EXPECT_THROW(frame_profile(frame, 0, 100), Error);  // not pow2
+    EXPECT_THROW(frame_profile(frame, 0, 32), Error);   // too small
     CsiSeries empty;
     EXPECT_THROW(average_power_delay_profile(empty, 0, 128), Error);
     PowerDelayProfile p;

@@ -30,14 +30,15 @@ TEST(PhaseCalibration, DifferenceSeriesRecoversOffset) {
     for (const double d : diffs) {
         EXPECT_NEAR(d, 0.6, 1e-12);
     }
-    EXPECT_NEAR(calibrated_phase_difference(series, {0, 1}, 5), 0.6,
+    EXPECT_NEAR(phase_calibration_stats(series, {0, 1}, 5).diff_mean_rad, 0.6,
                 1e-12);
 }
 
 TEST(PhaseCalibration, NoiseAveragedOut) {
     const auto series = synthetic_series({1.0, 1.0}, {1.2, -0.4}, 4000,
                                          0.0, 0.2, /*seed=*/7);
-    EXPECT_NEAR(calibrated_phase_difference(series, {0, 1}, 0), 1.6, 0.02);
+    EXPECT_NEAR(phase_calibration_stats(series, {0, 1}, 0).diff_mean_rad, 1.6,
+                0.02);
 }
 
 TEST(PhaseCalibration, VarianceZeroForCleanSeries) {

@@ -19,15 +19,15 @@ TEST(Propagation, FreeSpace) {
     const auto pc = propagation_constants(air(), kF);
     EXPECT_NEAR(pc.alpha_np_per_m, 0.0, 1e-9);
     EXPECT_NEAR(pc.beta_rad_per_m, kTwoPi * kF / kSpeedOfLight, 1e-6);
-    EXPECT_NEAR(free_space_beta(kF), pc.beta_rad_per_m, 1e-9);
     EXPECT_NEAR(free_space_wavelength(kF), 0.05635, 1e-4);
+    EXPECT_NEAR(kTwoPi / pc.beta_rad_per_m, free_space_wavelength(kF), 1e-9);
 }
 
 TEST(Propagation, LosslessMediumBetaScalesWithRootEps) {
     // eps_r = 4 (lossless): beta doubles, alpha stays zero.
     const auto pc = propagation_constants(Complex(4.0, 0.0), kF);
     EXPECT_NEAR(pc.alpha_np_per_m, 0.0, 1e-9);
-    EXPECT_NEAR(pc.beta_rad_per_m, 2.0 * free_space_beta(kF), 1e-6);
+    EXPECT_NEAR(pc.beta_rad_per_m, 2.0 * kTwoPi * kF / kSpeedOfLight, 1e-6);
 }
 
 TEST(Propagation, WaterConstantsInRange) {
@@ -41,8 +41,9 @@ TEST(Propagation, WaterConstantsInRange) {
 }
 
 TEST(Propagation, WavelengthShrinksInDielectric) {
-    EXPECT_LT(wavelength_in(material_for(Liquid::kPureWater), kF),
-              free_space_wavelength(kF) / 7.0);
+    const auto water =
+        propagation_constants(material_for(Liquid::kPureWater), kF);
+    EXPECT_LT(kTwoPi / water.beta_rad_per_m, free_space_wavelength(kF) / 7.0);
 }
 
 TEST(Propagation, ClosedFormCrossCheck) {

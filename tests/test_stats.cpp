@@ -21,7 +21,6 @@ TEST(Stats, MeanAndVariance) {
     EXPECT_DOUBLE_EQ(mean(v), 2.5);
     EXPECT_DOUBLE_EQ(variance(v), 1.25);       // population
     EXPECT_NEAR(stddev(v), std::sqrt(1.25), 1e-12);
-    EXPECT_NEAR(sample_variance(v), 5.0 / 3.0, 1e-12);
 }
 
 TEST(Stats, EmptyInputsThrow) {
@@ -29,12 +28,6 @@ TEST(Stats, EmptyInputsThrow) {
     EXPECT_THROW(mean(empty), Error);
     EXPECT_THROW(variance(empty), Error);
     EXPECT_THROW(median(empty), Error);
-    EXPECT_THROW(percentile(empty, 50.0), Error);
-}
-
-TEST(Stats, SampleVarianceNeedsTwo) {
-    const std::vector<double> one = {1.0};
-    EXPECT_THROW(sample_variance(one), Error);
 }
 
 TEST(Stats, MedianOddEven) {
@@ -60,24 +53,6 @@ TEST(Stats, RobustSigmaMatchesGaussianSigma) {
         v.push_back(rng.gaussian(10.0, 3.0));
     }
     EXPECT_NEAR(robust_sigma(v), 3.0, 0.1);
-}
-
-TEST(Stats, PercentileInterpolates) {
-    const std::vector<double> v = {10.0, 20.0, 30.0, 40.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 100.0), 40.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 50.0), 25.0);
-    EXPECT_THROW(percentile(v, 101.0), Error);
-}
-
-TEST(Stats, PearsonCorrelation) {
-    const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-    const std::vector<double> y = {2.0, 4.0, 6.0, 8.0};
-    EXPECT_NEAR(pearson_correlation(x, y), 1.0, 1e-12);
-    const std::vector<double> z = {8.0, 6.0, 4.0, 2.0};
-    EXPECT_NEAR(pearson_correlation(x, z), -1.0, 1e-12);
-    const std::vector<double> c = {5.0, 5.0, 5.0, 5.0};
-    EXPECT_DOUBLE_EQ(pearson_correlation(x, c), 0.0);
 }
 
 TEST(Stats, Rmse) {
@@ -122,15 +97,12 @@ TEST(RunningStats, MatchesBatchStatistics) {
     EXPECT_EQ(rs.count(), 1000u);
     EXPECT_NEAR(rs.mean(), mean(v), 1e-9);
     EXPECT_NEAR(rs.variance(), variance(v), 1e-9);
-    EXPECT_DOUBLE_EQ(rs.min(), *std::min_element(v.begin(), v.end()));
-    EXPECT_DOUBLE_EQ(rs.max(), *std::max_element(v.begin(), v.end()));
 }
 
 TEST(RunningStats, EmptyThrows) {
     RunningStats rs;
     EXPECT_THROW(rs.mean(), Error);
     EXPECT_THROW(rs.variance(), Error);
-    EXPECT_THROW(rs.min(), Error);
 }
 
 // Property sweep: variance is non-negative and median lies within range
@@ -149,7 +121,6 @@ TEST_P(StatsProperty, InvariantsHold) {
     EXPECT_GE(med, *std::min_element(v.begin(), v.end()));
     EXPECT_LE(med, *std::max_element(v.begin(), v.end()));
     EXPECT_GE(median_absolute_deviation(v), 0.0);
-    EXPECT_LE(percentile(v, 25.0), percentile(v, 75.0));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInputs, StatsProperty,
@@ -183,8 +154,6 @@ TEST(StatsEdgeCases, OrderStatisticsRejectNonFinite) {
         EXPECT_EQ(error_message([&] { robust_sigma(v); }), median_message);
         EXPECT_EQ(error_message([&] { robust_sigma(v, scratch); }),
                   median_message);
-        EXPECT_EQ(error_message([&] { percentile(v, 50.0); }),
-                  "percentile: input contains a non-finite value");
         EXPECT_EQ(error_message([&] { sigma_outlier_indices(v, 3.0); }),
                   gate_message);
         EXPECT_EQ(error_message([&] { reject_sigma_outliers(v, 3.0); }),
@@ -224,7 +193,6 @@ TEST(StatsEdgeCases, MomentsPropagateNonFinite) {
     EXPECT_TRUE(std::isnan(mean(v)));
     EXPECT_TRUE(std::isnan(variance(v)));
     EXPECT_TRUE(std::isnan(stddev(v)));
-    EXPECT_TRUE(std::isnan(sample_variance(v)));
     EXPECT_TRUE(std::isnan(rmse(v, v)));
     RunningStats rs;
     rs.add(1.0);
@@ -239,8 +207,6 @@ TEST(StatsEdgeCases, SingleValueInputs) {
     EXPECT_DOUBLE_EQ(variance(one), 0.0);
     EXPECT_DOUBLE_EQ(median(one), 42.0);
     EXPECT_DOUBLE_EQ(median_absolute_deviation(one), 0.0);
-    EXPECT_DOUBLE_EQ(percentile(one, 0.0), 42.0);
-    EXPECT_DOUBLE_EQ(percentile(one, 100.0), 42.0);
     EXPECT_TRUE(sigma_outlier_indices(one, 3.0).empty());
 }
 
@@ -254,10 +220,6 @@ TEST(StatsEdgeCases, ConstantInputs) {
     // sample equals the mean, so nothing is an outlier.
     EXPECT_TRUE(sigma_outlier_indices(flat, 3.0).empty());
     EXPECT_EQ(reject_sigma_outliers(flat, 3.0), flat);
-    // A constant side makes Pearson undefined; the documented result is 0.
-    const std::vector<double> ramp = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0,
-                                      1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
-    EXPECT_DOUBLE_EQ(pearson_correlation(flat, ramp), 0.0);
 }
 
 TEST(StatsEdgeCases, EmptySigmaGateYieldsNoOutliers) {

@@ -70,7 +70,6 @@ TEST(FrameRing, MatchesReferenceDequeAtEveryCapacityAndPushCount) {
             EXPECT_EQ(ring.full(), reference.size() == capacity);
             EXPECT_FALSE(ring.empty());
             for (std::size_t i = 0; i < reference.size(); ++i) {
-                EXPECT_EQ(ring.global_index(i), reference[i]);
                 EXPECT_EQ(ring.at(i).timestamp_s,
                           static_cast<double>(reference[i]));
                 EXPECT_EQ(ring.at(i).at(1, 2).real(),

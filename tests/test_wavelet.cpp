@@ -1,4 +1,4 @@
-// Tests for the decimated DWT and the undecimated a-trous transform.
+// Tests for the undecimated a-trous wavelet transform.
 #include "dsp/wavelet.hpp"
 
 #include <gtest/gtest.h>
@@ -31,109 +31,6 @@ double max_abs_diff(const std::vector<double>& a,
     }
     return m;
 }
-
-TEST(Dwt, ScalingFiltersAreNormalized) {
-    for (const Wavelet w : {Wavelet::kHaar, Wavelet::kDb2, Wavelet::kDb4}) {
-        const auto h = scaling_filter(w);
-        double sum = 0.0;
-        double sum_sq = 0.0;
-        for (const double c : h) {
-            sum += c;
-            sum_sq += c * c;
-        }
-        EXPECT_NEAR(sum, std::sqrt(2.0), 1e-9);  // DC normalization
-        EXPECT_NEAR(sum_sq, 1.0, 1e-9);          // orthonormality
-    }
-}
-
-TEST(Dwt, MaxLevels) {
-    // Periodized transform: levels limited by evenness and by the filter
-    // length (64 -> 32 -> ... -> 1 for Haar; db4 stops once the
-    // approximation is shorter than its 8 taps).
-    EXPECT_EQ(max_dwt_levels(64, Wavelet::kHaar), 6u);
-    EXPECT_EQ(max_dwt_levels(64, Wavelet::kDb4), 4u);
-    EXPECT_EQ(max_dwt_levels(7, Wavelet::kHaar), 0u);
-}
-
-TEST(Dwt, HalvesLengthPerLevel) {
-    const auto x = random_signal(64, 1);
-    const auto d = dwt(x, Wavelet::kDb2, 3);
-    EXPECT_EQ(d.details.size(), 3u);
-    EXPECT_EQ(d.details[0].size(), 32u);
-    EXPECT_EQ(d.details[1].size(), 16u);
-    EXPECT_EQ(d.details[2].size(), 8u);
-    EXPECT_EQ(d.approx.size(), 8u);
-}
-
-TEST(Dwt, EnergyPreserved) {
-    const auto x = random_signal(128, 2);
-    const auto d = dwt(x, Wavelet::kDb4, 2);
-    double in_energy = 0.0;
-    for (const double v : x) {
-        in_energy += v * v;
-    }
-    double out_energy = 0.0;
-    for (const auto& level : d.details) {
-        for (const double v : level) {
-            out_energy += v * v;
-        }
-    }
-    for (const double v : d.approx) {
-        out_energy += v * v;
-    }
-    EXPECT_NEAR(out_energy, in_energy, 1e-9 * in_energy);
-}
-
-TEST(Dwt, HaarMatchesHandComputation) {
-    const std::vector<double> x = {1.0, 3.0, 2.0, 6.0};
-    const auto d = dwt(x, Wavelet::kHaar, 1);
-    const double s = std::sqrt(2.0);
-    EXPECT_NEAR(d.approx[0], 4.0 / s * 1.0, 1e-12);   // (1+3)/sqrt2
-    EXPECT_NEAR(d.approx[1], 8.0 / s * 1.0, 1e-12);   // (2+6)/sqrt2
-    EXPECT_NEAR(d.details[0][0], -2.0 / s, 1e-12);    // (1-3)/sqrt2
-    EXPECT_NEAR(d.details[0][1], -4.0 / s, 1e-12);
-}
-
-TEST(Dwt, TooManyLevelsThrows) {
-    const auto x = random_signal(16, 3);
-    EXPECT_THROW(dwt(x, Wavelet::kHaar, 10), Error);
-    EXPECT_THROW(dwt(x, Wavelet::kHaar, 0), Error);
-    EXPECT_THROW(dwt({}, Wavelet::kHaar, 1), Error);
-}
-
-TEST(Dwt, OddLengthHandled) {
-    const auto x = random_signal(63, 4);
-    const auto d = dwt(x, Wavelet::kHaar, 2);
-    const auto back = idwt(d);
-    ASSERT_EQ(back.size(), 63u);
-    // Reconstruction with reflect-padding matches except possibly the last
-    // padded sample's neighbourhood; Haar with duplicated last sample is
-    // exact everywhere.
-    EXPECT_LT(max_abs_diff(x, back), 1e-9);
-}
-
-// Perfect reconstruction across wavelets, lengths and depths.
-class DwtRoundTrip
-    : public ::testing::TestWithParam<std::tuple<Wavelet, int, int>> {};
-
-TEST_P(DwtRoundTrip, Reconstructs) {
-    const auto [wavelet, n, levels] = GetParam();
-    if (static_cast<std::size_t>(levels) >
-        max_dwt_levels(static_cast<std::size_t>(n), wavelet)) {
-        GTEST_SKIP() << "combination not representable";
-    }
-    const auto x = random_signal(static_cast<std::size_t>(n), 99);
-    const auto back = idwt(dwt(x, wavelet, static_cast<std::size_t>(levels)));
-    ASSERT_EQ(back.size(), x.size());
-    EXPECT_LT(max_abs_diff(x, back), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllCombos, DwtRoundTrip,
-    ::testing::Combine(::testing::Values(Wavelet::kHaar, Wavelet::kDb2,
-                                         Wavelet::kDb4),
-                       ::testing::Values(16, 64, 128, 256),
-                       ::testing::Values(1, 2, 3)));
 
 TEST(Atrous, PlanesSumToInput) {
     const auto x = random_signal(100, 5);

@@ -117,27 +117,6 @@ TEST(Wimi, EnrollFeaturesDirectly) {
     EXPECT_EQ(result.material_name, "B");
 }
 
-TEST(Wimi, TrainTunedSelectsHyperparameters) {
-    Wimi wimi;
-    Rng rng(9);
-    for (int i = 0; i < 12; ++i) {
-        wimi.enroll_features("A", std::vector<double>{rng.gaussian(0.0, 0.2),
-                                                      rng.gaussian(0.0, 0.2)});
-        wimi.enroll_features("B", std::vector<double>{rng.gaussian(3.0, 0.2),
-                                                      rng.gaussian(0.0, 0.2)});
-    }
-    ml::GridSearchConfig search;
-    search.c_values = {1.0, 10.0};
-    search.gamma_values = {0.3, 1.0};
-    search.folds = 3;
-    const double cv = wimi.train_tuned(search);
-    EXPECT_GE(cv, 0.9);
-    EXPECT_TRUE(wimi.trained());
-    EXPECT_EQ(
-        wimi.model().classify(std::vector<double>{3.1, 0.1}).material_name,
-        "B");
-}
-
 TEST(Wimi, TrainRequiresTwoMaterials) {
     Wimi wimi;
     wimi.enroll_features("Only", std::vector<double>{1.0});
