@@ -322,8 +322,10 @@ int main() {
     // jitter (tens of µs) on top of a per-request cost measured in
     // hundreds of ns, which no number of samples averages away. The
     // arms still alternate over several rounds (cancelling machine-load
-    // drift) and each arm is scored by its best round — the noise-floor
-    // estimator for latency microbenchmarks.
+    // drift), with the arm that goes first swapped every round so that
+    // neither arm always runs in the same slot, and each arm is scored by
+    // its best round — the noise-floor estimator for latency
+    // microbenchmarks.
     constexpr std::size_t kObsClients = 1;
     constexpr std::size_t kObsPerClient = 400;
     constexpr std::size_t kObsRounds = 7;
@@ -353,11 +355,23 @@ int main() {
     std::vector<double> p50_off_rounds;
     std::vector<double> p50_on_rounds;
     for (std::size_t round = 0; round < kObsRounds; ++round) {
-        const BurstResult off_round = run_burst(
-            off_daemon.socket_path(), kObsClients, kObsPerClient, features);
-        const BurstResult on_round =
-            run_burst(on_daemon.socket_path(), kObsClients, kObsPerClient,
-                      features, /*traced=*/true);
+        BurstResult off_round;
+        BurstResult on_round;
+        const auto run_off = [&] {
+            off_round = run_burst(off_daemon.socket_path(), kObsClients,
+                                  kObsPerClient, features);
+        };
+        const auto run_on = [&] {
+            on_round = run_burst(on_daemon.socket_path(), kObsClients,
+                                 kObsPerClient, features, /*traced=*/true);
+        };
+        if (round % 2 == 0) {
+            run_off();
+            run_on();
+        } else {
+            run_on();
+            run_off();
+        }
         accumulate(off_burst, off_round);
         accumulate(on_burst, on_round);
         p50_off_rounds.push_back(percentile(off_round.latencies_us, 0.50));

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/bytes.hpp"
+
 namespace wimi {
 namespace {
 
@@ -33,19 +35,10 @@ constexpr std::array<Table, 8> make_tables() {
 
 constexpr std::array<Table, 8> kTables = make_tables();
 
-// Little-endian load written byte by byte, so it means the same on any
-// host; compilers fold it into one load where the host is little-endian.
-std::uint32_t load_u32_le(const unsigned char* p) noexcept {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) noexcept {
-    const auto* bytes = static_cast<const unsigned char*>(data);
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
     std::uint32_t state = 0xFFFFFFFFu;
     for (; size >= 8; bytes += 8, size -= 8) {
         const std::uint32_t lo = state ^ load_u32_le(bytes);

@@ -1,5 +1,7 @@
 #include "core/model.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace wimi::core {
@@ -9,6 +11,13 @@ void Model::validate() const {
     ensure(scaler.fitted(), "Model: scaler is not fitted");
     ensure(!pairs.empty(), "Model: no antenna pairs");
     ensure(!subcarriers.empty(), "Model: no subcarriers");
+    ensure(feature.denoise.wavelet.levels <= kMaxWaveletLevels,
+           "Model: wavelet levels over the cap of " +
+               std::to_string(kMaxWaveletLevels));
+    ensure(feature.gamma.max_wraps >= 0 &&
+               feature.gamma.max_wraps <= kMaxGammaWraps,
+           "Model: gamma max_wraps outside [0, " +
+               std::to_string(kMaxGammaWraps) + "]");
     const std::size_t width = feature_width();
     // One Omega per (subcarrier, pair) is the feature-vector contract of
     // extract_feature_vector; a model whose scaler width disagrees with

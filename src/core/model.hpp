@@ -32,6 +32,14 @@ struct IdentificationResult {
     std::string material_name;
 };
 
+/// Caps validate() puts on the persisted feature settings, far above any
+/// value in use (wavelet levels 2–6, gamma wraps 0–2). A model file is
+/// CRC-checked, not signed, so a loader must not trust these: 2^62
+/// levels wraps the a-trous plane buffer's size, and INT_MAX wraps
+/// overflows the gamma search's counter.
+inline constexpr std::size_t kMaxWaveletLevels = 16;
+inline constexpr int kMaxGammaWraps = 16;
+
 /// A complete, self-contained, immutable classification model.
 struct Model {
     /// Feature-extraction settings the model was trained with.
@@ -52,7 +60,7 @@ struct Model {
 
     /// Checks cross-component consistency (trained SVM, fitted scaler,
     /// matching widths, class ids covered by class_names, non-empty
-    /// calibration). Throws wimi::Error on violation.
+    /// calibration) and the caps above. Throws wimi::Error on violation.
     void validate() const;
 
     /// Material name for a class id; throws wimi::Error when out of range.

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <string>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -17,8 +16,7 @@
 namespace wimi::csi {
 namespace {
 
-constexpr std::array<std::uint8_t, 4> kMagic = {'W', 'C', 'S', 'I'};
-constexpr std::uint32_t kByteOrderMarker = 0x01020304u;
+constexpr std::uint32_t kMagic = fourcc("WCSI");
 
 constexpr std::size_t kHeaderBytesV2 = trace_header_bytes(kTraceVersion2);
 // Magic + version: enough to know which header follows.
@@ -29,47 +27,6 @@ constexpr std::size_t kPrefixBytes = 8;
 // three orders of magnitude above any conceivable array.
 constexpr std::uint32_t kMaxDimension = 65535;
 constexpr std::uint64_t kMaxFrames = 100'000'000ULL;
-
-// --- explicit little-endian field codec ---------------------------------
-//
-// Spelled byte by byte, so the layout is the same on any host. Compilers
-// fold each helper into one plain load or store on little-endian
-// targets, which keeps the frame codec at memory speed; the stores go
-// through a local array because GCC's vectorizer otherwise keeps eight
-// single-byte stores per double.
-
-template <typename T>
-void store_le(std::uint8_t* p, T v) {
-    std::array<std::uint8_t, sizeof(T)> bytes;
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-    std::memcpy(p, bytes.data(), bytes.size());
-}
-
-void store_u32_le(std::uint8_t* p, std::uint32_t v) { store_le(p, v); }
-
-void store_u64_le(std::uint8_t* p, std::uint64_t v) { store_le(p, v); }
-
-void store_f64_le(std::uint8_t* p, double v) {
-    store_u64_le(p, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint32_t load_u32_le(const std::uint8_t* p) {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_u64_le(const std::uint8_t* p) {
-    return static_cast<std::uint64_t>(load_u32_le(p)) |
-           (static_cast<std::uint64_t>(load_u32_le(p + 4)) << 32);
-}
-
-double load_f64_le(const std::uint8_t* p) {
-    return std::bit_cast<double>(load_u64_le(p));
-}
 
 /// The strict readers' message for a rejected header.
 std::string header_error(TraceHeaderStatus status, std::uint32_t version) {
@@ -128,7 +85,7 @@ void encode_trace_header(const TraceHeader& header,
     ensure(out.size() >= trace_header_bytes(header.version),
            "encode_trace_header: buffer shorter than the header");
     std::uint8_t* p = out.data();
-    std::memcpy(p, kMagic.data(), kMagic.size());
+    store_u32_le(p, kMagic);
     store_u32_le(p + 4, header.version);
     p += kPrefixBytes;
     if (header.version == kTraceVersion2) {
@@ -198,8 +155,7 @@ std::size_t trace_bytes(const CsiSeries& series, std::uint32_t version) {
 TraceHeaderStatus decode_trace_header(std::span<const std::uint8_t> bytes,
                                       TraceHeader& header) {
     const std::uint8_t* p = bytes.data();
-    if (bytes.size() < kPrefixBytes ||
-        std::memcmp(p, kMagic.data(), kMagic.size()) != 0) {
+    if (bytes.size() < kPrefixBytes || load_u32_le(p) != kMagic) {
         return TraceHeaderStatus::kBadMagic;
     }
     header.version = load_u32_le(p + 4);

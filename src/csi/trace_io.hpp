@@ -36,7 +36,8 @@
 // the "byte codec" section below): write_trace, TraceWriter, TraceReader,
 // stream::TraceTailer and the wimi_serve wire records (serve/wire) all
 // encode and decode headers and frame records through it, directly in
-// their own buffers.
+// their own buffers. Its fields are stored and loaded by the little-endian
+// helpers of common/bytes.hpp, which the wire and model formats share.
 #pragma once
 
 #include <cstdint>

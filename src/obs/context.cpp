@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <random>
-#include <utility>
 
 namespace wimi::obs {
 namespace {
@@ -71,21 +70,10 @@ std::uint64_t next_span_id() noexcept {
 }
 
 ScopedObsContext::ScopedObsContext(const ObsContext& ctx)
-    : saved_(std::move(thread_context())) {
+    : saved_(thread_context()) {
     thread_context() = ctx;
 }
 
-ScopedObsContext::~ScopedObsContext() {
-    thread_context() = std::move(saved_);
-}
-
-ScopedRequestTag::ScopedRequestTag(std::string tag)
-    : saved_(std::move(thread_context().request_tag)) {
-    thread_context().request_tag = std::move(tag);
-}
-
-ScopedRequestTag::~ScopedRequestTag() {
-    thread_context().request_tag = std::move(saved_);
-}
+ScopedObsContext::~ScopedObsContext() { thread_context() = saved_; }
 
 }  // namespace wimi::obs

@@ -2,9 +2,9 @@
 // and log lines into one causal trace across thread-pool fan-outs.
 //
 // Every thread carries an implicit ObsContext (trace id + innermost open
-// span id + optional request tag). TraceSpan maintains it: the outermost
-// span on a thread with no inherited context starts a fresh trace; nested
-// spans inherit the trace id and record their parent span id. When
+// span id). TraceSpan maintains it: the outermost span on a thread with
+// no inherited context starts a fresh trace; nested spans inherit the
+// trace id and record their parent span id. When
 // exec::parallel_for hands tasks to pool workers it captures the
 // submitting thread's context and installs a copy (ScopedObsContext) in
 // each worker for the duration of the task, so spans opened inside pool
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace wimi::obs {
 
@@ -27,11 +26,8 @@ namespace wimi::obs {
 struct ObsContext {
     std::uint64_t trace_id = 0;  ///< 0 = no trace open
     std::uint64_t span_id = 0;   ///< innermost open span; parent for new spans
-    std::string request_tag;     ///< free-form correlation tag (e.g. request id)
 
-    bool empty() const noexcept {
-        return trace_id == 0 && span_id == 0 && request_tag.empty();
-    }
+    bool empty() const noexcept { return trace_id == 0 && span_id == 0; }
 };
 
 /// The calling thread's current context.
@@ -60,21 +56,6 @@ public:
 
 private:
     ObsContext saved_;
-};
-
-/// Sets the request tag on the current thread's context for the current
-/// scope (restores the previous tag on destruction). Log lines written
-/// in the scope carry the tag, so one request's lines can be correlated.
-class ScopedRequestTag {
-public:
-    explicit ScopedRequestTag(std::string tag);
-    ~ScopedRequestTag();
-
-    ScopedRequestTag(const ScopedRequestTag&) = delete;
-    ScopedRequestTag& operator=(const ScopedRequestTag&) = delete;
-
-private:
-    std::string saved_;
 };
 
 }  // namespace wimi::obs

@@ -199,11 +199,6 @@ void Logger::log(LogLevel level, std::string_view component,
         line += ",\"span\":";
         line += std::to_string(ctx.span_id);
     }
-    if (!ctx.request_tag.empty()) {
-        line += ",\"tag\":\"";
-        line += json::escape(ctx.request_tag);
-        line += '"';
-    }
     if (fields.size() != 0) {
         line += ",\"fields\":{";
         bool first = true;

@@ -27,20 +27,6 @@ double us_since(std::chrono::steady_clock::time_point start,
     return elapsed.count();
 }
 
-/// request_id straight from a framed record's header (offset 12),
-/// so a response can echo the id even when full decoding failed.
-std::uint64_t peek_request_id(const std::vector<std::uint8_t>& record) {
-    if (record.size() < wire::kWireHeaderBytes) {
-        return 0;
-    }
-    std::uint64_t id = 0;
-    for (int i = 7; i >= 0; --i) {
-        id = (id << 8) |
-             static_cast<std::uint64_t>(record[12 + static_cast<std::size_t>(i)]);
-    }
-    return id;
-}
-
 void close_if_open(int& fd) {
     if (fd >= 0) {
         ::close(fd);
@@ -601,7 +587,12 @@ void Daemon::serve_connection(int fd, Connection* connection) {
             // with what the header said (best effort) and hang up.
             wire::Response response;
             response.status = wire::Status::kBadRequest;
-            response.request_id = peek_request_id(record);
+            // A record is kept only once read_record accepted its
+            // header, so parsing that header again cannot throw.
+            response.request_id =
+                record.empty()
+                    ? 0
+                    : wire::parse_header(record, "WSRQ").request_id;
             response.message = e.what();
             rejected_bad_request_.fetch_add(1, std::memory_order_relaxed);
             WIMI_OBS_COUNT("serve.daemon.rejected.bad_request", 1);

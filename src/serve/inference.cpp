@@ -68,16 +68,8 @@ std::string model_cache_key(const std::filesystem::path& path) {
 InferenceEngine::InferenceEngine(core::Model model, std::string digest)
     : model_(std::move(model)) {
     model_.validate();
-    info_.version = kModelCurrentVersion;
+    info_ = model_info(model_);
     info_.digest = std::move(digest);
-    info_.feature_width = model_.feature_width();
-    info_.class_count = model_.class_names.size();
-    info_.pair_count = model_.pairs.size();
-    info_.subcarrier_count = model_.subcarriers.size();
-    info_.machine_count = model_.svm.machines().size();
-    for (const auto& machine : model_.svm.machines()) {
-        info_.support_vector_total += machine.svm.alphas().size();
-    }
 }
 
 InferenceEngine InferenceEngine::load(const std::filesystem::path& path) {

@@ -4,14 +4,17 @@
 // data) and inference (fast, packet-stream-by-packet-stream) can run in
 // separate processes — the paper's deployment story of a calibrated
 // device identifying materials in the field. The format follows the
-// WCSI v2 conventions (csi/trace_io.hpp): every multi-byte field is
-// explicitly little-endian, the header carries a byte-order marker, and
-// every region is CRC-32 protected (src/common/crc32) so a flipped bit
-// or torn write is a clean load error, never a silently wrong model.
+// WCSI v2 conventions (csi/trace_io.hpp) and shares their field codec
+// (common/bytes.hpp): every multi-byte field is explicitly
+// little-endian, the header carries a byte-order marker, and every
+// region is CRC-32 protected (src/common/crc32) so a flipped bit or torn
+// write is a clean load error, never a silently wrong model.
 //
 // Unlike trace reading there is no lenient policy: a model is either
 // bit-exact or rejected, because a partially recovered classifier is
-// worse than none.
+// worse than none. A CRC is not a signature, so the loader also runs
+// core::Model::validate(), which caps the CALB settings a hostile file
+// could use to overflow a buffer size or a counter.
 //
 // wimi.model.v1 layout:
 //
@@ -36,9 +39,10 @@
 //          class: u32 name_bytes + UTF-8 name.
 //   CALB — feature-extraction + calibration state: the FeatureConfig
 //          fields (f64 outlier_k_sigma, u8 remove_impulses, u64 wavelet
-//          levels, u64 wavelet max_iterations, f64 noise_threshold_scale,
-//          u8 use_amplitude_denoising, i32 gamma max_wraps,
-//          f64 min_abs_omega, f64 max_abs_omega, f64 phase_ridge_rad),
+//          levels (<= 16), u64 wavelet max_iterations,
+//          f64 noise_threshold_scale, u8 use_amplitude_denoising,
+//          i32 gamma max_wraps (0..16), f64 min_abs_omega,
+//          f64 max_abs_omega, f64 phase_ridge_rad),
 //          u32 pair_count + (u32 first, u32 second) per pair,
 //          u32 subcarrier_count + u32 per subcarrier.
 //   SCAL — u32 width, f64 means[width], f64 stddevs[width].
@@ -89,6 +93,12 @@ struct ModelInfo {
     std::size_t machine_count = 0;
     std::size_t support_vector_total = 0;
 };
+
+/// The summary of `model` alone: the version save_model writes, the
+/// feature width, the class, pair, subcarrier and machine counts, and
+/// the support-vector total. file_bytes and digest describe a file and
+/// stay empty.
+ModelInfo model_info(const core::Model& model);
 
 /// Writes `model` to `stream`. Throws wimi::Error on an inconsistent
 /// model (validate() fails) or stream failure.

@@ -4,9 +4,12 @@
 //
 // The framing follows the WCSI conventions (csi/trace_io.hpp,
 // serve/model_io.hpp): every multi-byte field is explicitly
-// little-endian, records carry a magic + version, and a CRC-32
-// (src/common/crc32) over the whole record makes a flipped bit or torn
-// write a clean decode error, never a silently wrong prediction.
+// little-endian, written and read through the codec the three formats
+// share (common/bytes.hpp), records carry a magic + version, and a
+// CRC-32 (src/common/crc32) over the whole record makes a flipped bit or
+// torn write a clean decode error, never a silently wrong prediction.
+// One header parser (parse_header) serves read_record, the decoders and
+// the daemon's echo of a request id.
 //
 // Request record ("WSRQ"):
 //
@@ -188,6 +191,22 @@ std::vector<std::uint8_t> encode_response(const Response& response);
 /// yields type == kUnknown instead of throwing.
 Request decode_request(std::span<const std::uint8_t> record);
 Response decode_response(std::span<const std::uint8_t> record);
+
+/// The fixed fields at the front of every record (offsets 0–27 above).
+struct RecordHeader {
+    std::uint32_t version = 0;
+    std::uint32_t type_or_status = 0;
+    std::uint64_t request_id = 0;
+    std::uint64_t body_bytes = 0;
+};
+
+/// Parses the first kWireHeaderBytes of `record`: checks the magic
+/// ("WSRQ" or "WSRP"), the version and the body_bytes cap, and throws
+/// wimi::Error otherwise. The one header parser: read_record, the
+/// decoders, and a server echoing the request id of a record it could
+/// not decode all go through it.
+RecordHeader parse_header(std::span<const std::uint8_t> record,
+                          const char magic[4]);
 
 /// Blocking record I/O over a file descriptor. read_record returns
 /// nullopt on clean EOF at a record boundary; mid-record EOF, an

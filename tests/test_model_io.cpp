@@ -17,6 +17,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -53,6 +54,51 @@ core::Model make_test_model() {
     ml::MulticlassSvm svm;
     svm.train(model.scaler.transform(data));
     model.svm = std::move(svm);
+    return model;
+}
+
+/// The test model's shape built from fixed numbers, not by training:
+/// trained bytes differ between the SIMD flavours of the build, so only
+/// a restored model pins the file format alone.
+core::Model fixed_model() {
+    ml::SvmConfig config;
+    config.kernel = ml::Kernel::kRbf;
+    config.c = 4.0;
+    config.gamma = 0.25;
+    config.tolerance = 1e-3;
+    config.convergence_passes = 5;
+    config.max_passes = 200;
+    config.seed = 17;
+    core::Model model;
+    model.feature.denoise.outlier_k_sigma = 3.0;
+    model.feature.denoise.remove_impulses = true;
+    model.feature.denoise.wavelet.levels = 4;
+    model.feature.denoise.wavelet.max_iterations = 32;
+    model.feature.denoise.wavelet.noise_threshold_scale = 1.0;
+    model.feature.use_amplitude_denoising = true;
+    model.feature.gamma.max_wraps = 2;
+    model.feature.gamma.min_abs_omega = 0.03;
+    model.feature.gamma.max_abs_omega = 0.8;
+    model.feature.phase_ridge_rad = 0.12;
+    model.pairs = {{0, 1}, {1, 2}};
+    model.subcarriers = {3, 9};
+    model.class_names = {"Milk", "Honey", "Oil"};
+    model.scaler = ml::StandardScaler::restore({0.5, -1.25, 2.0, 0.125},
+                                               {1.5, 0.75, 2.5, 0.375});
+    std::vector<ml::MulticlassSvm::PairMachine> machines;
+    for (const auto& [positive, negative] :
+         {std::pair{0, 1}, std::pair{0, 2}, std::pair{1, 2}}) {
+        const double shift = 0.5 * (positive + negative);
+        machines.push_back(
+            {positive, negative,
+             ml::BinarySvm::restore(
+                 config, 4,
+                 {-1.0 + shift, 0.25, 0.5, -0.75, 1.0, -0.5 + shift, 0.0,
+                  2.0},
+                 {0.625, -0.625}, -0.0625 * (positive + 1))});
+    }
+    model.svm = ml::MulticlassSvm::restore(config, {0, 1, 2},
+                                           std::move(machines));
     return model;
 }
 
@@ -181,6 +227,28 @@ TEST(ModelIo, SaveIsDeterministic) {
     EXPECT_EQ(serialize(model), serialize(model));
 }
 
+/// 64-bit FNV-1a over every byte (not a CRC: each section ends with its
+/// own CRC-32, which cancels the section's content out of any CRC over
+/// the whole file).
+std::uint64_t fnv1a64(const std::string& bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char byte : bytes) {
+        hash ^= static_cast<unsigned char>(byte);
+        hash *= 0x00000100000001b3ull;
+    }
+    return hash;
+}
+
+TEST(ModelIo, SavedBytesArePinned) {
+    // Size and FNV-1a of the whole file pin every byte save_model writes.
+    const std::string bytes = serialize(fixed_model());
+    EXPECT_EQ(bytes.size(), 674u);
+    EXPECT_EQ(fnv1a64(bytes), 0xe3b81accd9a89fceull)
+        << std::hex << "0x" << fnv1a64(bytes) << "ull";
+    // The pinned file loads back to the same bytes.
+    EXPECT_EQ(serialize(load_bytes(bytes)), bytes);
+}
+
 TEST(ModelIo, FileRoundTripAndDigest) {
     const core::Model model = make_test_model();
     const auto path =
@@ -302,6 +370,56 @@ TEST(ModelIo, LyingCountFieldRejected) {
     csi::fault::detail::put_u32_le(bytes, meta_offset + 12 + 8,
                                    (1u << 20) + 1);
     expect_rejected(fix_section_crc(bytes, meta_offset));
+}
+
+/// A copy of `bytes` with one CALB setting patched and the section's CRC
+/// restamped: a hostile file that passes every checksum. CALB's body is
+/// f64 outlier_k_sigma, u8 remove_impulses, u64 wavelet levels (+9),
+/// u64 max_iterations, f64 noise_threshold_scale, u8
+/// use_amplitude_denoising, then i32 gamma max_wraps (+34).
+std::string with_calib_field(const std::string& bytes, std::size_t field,
+                             std::uint64_t value, std::size_t width) {
+    const std::size_t calib = section_boundaries(bytes)[1];
+    std::string patched = bytes;
+    if (width == 8) {
+        csi::fault::detail::put_u64_le(patched, calib + 12 + field, value);
+    } else {
+        csi::fault::detail::put_u32_le(patched, calib + 12 + field,
+                                       static_cast<std::uint32_t>(value));
+    }
+    return fix_section_crc(std::move(patched), calib);
+}
+
+TEST(ModelIo, HostileFeatureSettingsRejected) {
+    // A CRC is not a signature. 2^62 wavelet levels would wrap the size
+    // of the a-trous plane buffer and index past it; INT_MAX gamma wraps
+    // would overflow the wrap search's counter. Both must be refused at
+    // load, with an error that names the field.
+    const std::string bytes = serialize(make_test_model());
+    const struct {
+        std::size_t field;
+        std::uint64_t value;
+        std::size_t width;
+        const char* name;
+    } cases[] = {
+        {9, std::uint64_t{1} << 62, 8, "wavelet levels"},
+        {9, 64, 8, "wavelet levels"},
+        {34, 0x7FFFFFFFu, 4, "max_wraps"},
+        {34, 0xFFFFFFFFu, 4, "max_wraps"},  // -1
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(std::string(c.name) + " = " + std::to_string(c.value));
+        try {
+            load_bytes(with_calib_field(bytes, c.field, c.value, c.width));
+            ADD_FAILURE() << "loaded a hostile model";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+                << e.what();
+        }
+    }
+    // The caps sit far above any value in use: 16 of each still loads.
+    EXPECT_NO_THROW(load_bytes(with_calib_field(bytes, 9, 16, 8)));
+    EXPECT_NO_THROW(load_bytes(with_calib_field(bytes, 34, 16, 4)));
 }
 
 TEST(ModelIo, UnknownVersionRejected) {

@@ -65,36 +65,19 @@ TEST(ObsContext, ScopedContextInstallsAndRestores) {
     ObsContext ctx;
     ctx.trace_id = next_trace_id();
     ctx.span_id = next_span_id();
-    ctx.request_tag = "outer";
     {
         ScopedObsContext scope(ctx);
         EXPECT_EQ(current_context().trace_id, ctx.trace_id);
         EXPECT_EQ(current_context().span_id, ctx.span_id);
-        EXPECT_EQ(current_context().request_tag, "outer");
         {
             ObsContext inner;
             inner.trace_id = next_trace_id();
             ScopedObsContext nested(inner);
             EXPECT_EQ(current_context().trace_id, inner.trace_id);
-            EXPECT_TRUE(current_context().request_tag.empty());
         }
         EXPECT_EQ(current_context().trace_id, ctx.trace_id);
-        EXPECT_EQ(current_context().request_tag, "outer");
     }
     EXPECT_TRUE(current_context().empty());
-}
-
-TEST(ObsContext, ScopedRequestTagRestoresPreviousTag) {
-    {
-        ScopedRequestTag outer("outer");
-        EXPECT_EQ(current_context().request_tag, "outer");
-        {
-            ScopedRequestTag inner("inner");
-            EXPECT_EQ(current_context().request_tag, "inner");
-        }
-        EXPECT_EQ(current_context().request_tag, "outer");
-    }
-    EXPECT_TRUE(current_context().request_tag.empty());
 }
 
 TEST(ObsContext, RootSpanOpensTraceAndNestedSpansInherit) {

@@ -182,19 +182,6 @@ TEST_F(ObsLogTest, LinesCarryTraceContextInsideSpan) {
     trace_reset();
 }
 
-TEST_F(ObsLogTest, RequestTagStampsLines) {
-    {
-        ScopedRequestTag tag("req-17");
-        WIMI_OBS_LOG_INFO("test.log", "tagged");
-    }
-    WIMI_OBS_LOG_INFO("test.log", "untagged");
-    const auto docs = lines();
-    ASSERT_EQ(docs.size(), 2u);
-    ASSERT_NE(docs[0].find("tag"), nullptr);
-    EXPECT_EQ(docs[0].find("tag")->string, "req-17");
-    EXPECT_EQ(docs[1].find("tag"), nullptr);
-}
-
 TEST_F(ObsLogTest, RunIdOverrideAppearsOnLines) {
     const std::string original = Logger::instance().run_id();
     EXPECT_EQ(original.size(), 8u);  // 8 hex chars by default

@@ -23,6 +23,8 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -315,6 +317,55 @@ TEST(ServeDaemon, SwapFailureKeepsOldModelServing) {
     EXPECT_EQ(pong.model_digest, fixture().digest_a);
     daemon.stop();
     EXPECT_EQ(daemon.stats().swaps, 0u);
+}
+
+TEST(ServeDaemon, HostileModelSwapKeepsOldModelServing) {
+    // Model B with its CALB wavelet levels set to 2^62 and the section
+    // CRC restamped: every checksum passes, and the loader must still
+    // refuse the file before the daemon serves from it.
+    std::ifstream in(fixture().model_b, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const auto u64_at = [&](std::size_t offset) {
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < 8; ++i) {
+            v |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(bytes[offset + i]))
+                 << (8 * i);
+        }
+        return v;
+    };
+    // Header 28 bytes, then META (id, u64 body_bytes, body, CRC), then
+    // CALB, whose body starts with f64 outlier_k_sigma, u8 flag, u64
+    // levels.
+    const std::size_t calib = 28 + 12 + u64_at(28 + 4) + 4;
+    const std::size_t calib_record = 12 + u64_at(calib + 4);
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[calib + 12 + 9 + i] = static_cast<char>(i == 7 ? 0x40 : 0);
+    }
+    const std::uint32_t crc = crc32(bytes.data() + calib, calib_record);
+    for (std::size_t i = 0; i < 4; ++i) {
+        bytes[calib + calib_record + i] = static_cast<char>(crc >> (8 * i));
+    }
+    const auto hostile = std::filesystem::temp_directory_path() /
+                         ("wimi_serve_test_hostile." +
+                          std::to_string(::getpid()) + ".wmdl");
+    std::ofstream(hostile, std::ios::binary) << bytes;
+
+    Daemon daemon(base_options("hostile"));
+    daemon.start();
+    ServeClient client(daemon.socket_path());
+    const ClientResult swap = client.swap_model(hostile.string());
+    EXPECT_EQ(swap.status, wire::Status::kBadRequest) << swap.message;
+    const ClientResult pong = client.ping();
+    ASSERT_TRUE(pong.ok()) << pong.message;
+    EXPECT_EQ(pong.model_digest, fixture().digest_a);
+    const ClientResult served = client.predict_features(valid_features());
+    ASSERT_TRUE(served.ok()) << served.message;
+    EXPECT_EQ(served.model_digest, fixture().digest_a);
+    daemon.stop();
+    EXPECT_EQ(daemon.stats().swaps, 0u);
+    std::filesystem::remove(hostile);
 }
 
 TEST(ServeDaemon, StopDrainsAdmittedRequests) {

@@ -108,6 +108,27 @@ void append_u64(Bytes& bytes, std::uint64_t v) {
     put_u64(bytes, bytes.size() - 8, v);
 }
 
+/// 64-bit FNV-1a over every byte. The byte pins below use it, not a
+/// CRC-32: a CRC over a prefix followed by CRC-sealed records of fixed
+/// lengths does not depend on those records' content, so it would not
+/// notice a changed field inside them.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const std::uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 0x00000100000001b3ull;
+    }
+    return hash;
+}
+
+/// Pins every byte of `bytes` by its size and FNV-1a.
+void expect_pinned(std::span<const std::uint8_t> bytes, std::size_t size,
+                   std::uint64_t fnv) {
+    EXPECT_EQ(bytes.size(), size);
+    EXPECT_EQ(fnv1a64(bytes), fnv)
+        << std::hex << "0x" << fnv1a64(bytes) << "ull";
+}
+
 /// The two WCSI byte regions of a kPredictSeries record whose header
 /// (including any v2 trace extension) is `header_bytes` long.
 struct SeriesRegions {
@@ -171,6 +192,7 @@ TEST(ServeWire, FeaturesRequestRoundTrips) {
     const Request request = features_request();
     const std::vector<std::uint8_t> record = encode_request(request);
     ASSERT_GE(record.size(), kWireHeaderBytes + kWireTrailerBytes);
+    expect_pinned(record, 76u, 0x64d1ebe761ef9e0eull);
     const Request decoded = decode_request(record);
     EXPECT_EQ(decoded.type, MessageType::kPredictFeatures);
     EXPECT_EQ(decoded.request_id, request.request_id);
@@ -220,11 +242,13 @@ TEST(ServeWire, SeriesRequestRoundTrips) {
 }
 
 TEST(ServeWire, SeriesRequestBytesArePinned) {
-    // Two 20-packet 3x30 captures, the paper's operating point. The size
-    // and the CRC-32 of everything before the trailer pin every byte on
-    // the wire, for the untraced (v1) and traced (v2) framing. (The CRC
-    // of a whole record, trailer included, is the constant CRC residue,
-    // so it would pin nothing.)
+    // Two 20-packet 3x30 captures, the paper's operating point, in the
+    // untraced (v1) and traced (v2) framing. The CRC-32 of everything
+    // before the trailer pins the header and the length fields, but not
+    // the WCSI containers: they are CRC-sealed records of fixed length,
+    // which leave that CRC the same whatever they hold. The FNV-1a of the
+    // whole record pins every byte. (The CRC of a whole record, trailer
+    // included, is the constant CRC residue, so it would pin nothing.)
     Request request;
     request.type = MessageType::kPredictSeries;
     request.request_id = 7;
@@ -234,6 +258,7 @@ TEST(ServeWire, SeriesRequestBytesArePinned) {
     const Bytes v1 = encode_request(request);
     EXPECT_EQ(v1.size(), 58512u);
     EXPECT_EQ(crc32(v1.data(), v1.size() - kWireTrailerBytes), 0xB7F33AF0u);
+    expect_pinned(v1, 58512u, 0x13db7fff21ceaefeull);
     EXPECT_EQ(v1, series_record(wcsi_bytes(request.baseline),
                                 wcsi_bytes(request.target)));
 
@@ -242,6 +267,7 @@ TEST(ServeWire, SeriesRequestBytesArePinned) {
     const Bytes v2 = encode_request(request);
     EXPECT_EQ(v2.size(), 58512u + kWireTraceExtBytes);
     EXPECT_EQ(crc32(v2.data(), v2.size() - kWireTrailerBytes), 0x3FB8A0BFu);
+    expect_pinned(v2, 58512u + kWireTraceExtBytes, 0xea9134d1b654cb5full);
 
     // Each region is byte-equal to write_trace of the same series.
     for (const auto& [record, header] :
@@ -254,6 +280,18 @@ TEST(ServeWire, SeriesRequestBytesArePinned) {
         expect_bit_identical(decoded.baseline, request.baseline);
         expect_bit_identical(decoded.target, request.target);
     }
+}
+
+TEST(ServeWire, SeriesRegionBytesArePinned) {
+    // The WCSI containers a series request carries, pinned on their own
+    // in both versions of the format (v1 has no marker and no CRCs).
+    const csi::CsiSeries series = synthetic_capture(101, 20);
+    expect_pinned(wcsi_bytes(series), 29232u, 0xf53f50386246e78dull);
+    std::ostringstream v1;
+    csi::write_trace(v1, series, {.version = csi::kTraceVersion1});
+    const std::string v1_bytes = std::move(v1).str();
+    expect_pinned(Bytes(v1_bytes.begin(), v1_bytes.end()), 29144u,
+                  0x3f23c5da4c3c719dull);
 }
 
 // --- CRC-valid damage inside a series region ------------------------------
@@ -367,6 +405,7 @@ TEST(ServeWire, ControlRequestsRoundTrip) {
     swap.type = MessageType::kSwapModel;
     swap.request_id = 9;
     swap.path = "/models/retrained.wmdl";
+    expect_pinned(encode_request(swap), 58u, 0x7a477fb62fb4b007ull);
     const Request swap_decoded = decode_request(encode_request(swap));
     EXPECT_EQ(swap_decoded.type, MessageType::kSwapModel);
     EXPECT_EQ(swap_decoded.path, swap.path);
@@ -376,6 +415,9 @@ TEST(ServeWire, ControlRequestsRoundTrip) {
         Request control;
         control.type = type;
         control.request_id = 11;
+        if (type == MessageType::kPing) {
+            expect_pinned(encode_request(control), 32u, 0x9d0e6573329282c1ull);
+        }
         const Request decoded = decode_request(encode_request(control));
         EXPECT_EQ(decoded.type, type);
         EXPECT_EQ(decoded.request_id, 11u);
@@ -392,6 +434,7 @@ TEST(ServeWire, OkResponseRoundTrips) {
     response.queue_us = 12.5;
     response.batch_wall_us = 340.75;
     response.batch_size = 8;
+    expect_pinned(encode_response(response), 76u, 0x32b41a1f8aa0d21cull);
     const Response decoded = decode_response(encode_response(response));
     EXPECT_EQ(decoded.status, Status::kOk);
     EXPECT_EQ(decoded.request_id, 21u);
@@ -411,6 +454,10 @@ TEST(ServeWire, RejectionResponseRoundTrips) {
         response.status = status;
         response.request_id = 33;
         response.message = "queue full (128 waiting)";
+        if (status == Status::kOverloaded) {
+            expect_pinned(encode_response(response), 60u,
+                          0x57872d87e74ebc4full);
+        }
         const Response decoded =
             decode_response(encode_response(response));
         EXPECT_EQ(decoded.status, status);
@@ -483,6 +530,25 @@ TEST(ServeWire, LyingBodyLengthRejected) {
     EXPECT_THROW(decode_request(record), Error);
 }
 
+TEST(ServeWire, LyingFeatureWidthRejectedWithoutAllocating) {
+    // A CRC-valid feature request whose width claims 2^32 - 1 doubles
+    // behind a 4-byte body. The count is checked against the bytes left
+    // before anything is allocated, so the claim cannot reserve 32 GiB.
+    Bytes record = {'W', 'S', 'R', 'Q', 1, 0, 0, 0, 1, 0, 0, 0};
+    append_u64(record, 5);  // request id
+    append_u64(record, 4);  // body_bytes
+    record.resize(record.size() + 8);
+    put_u32(record, record.size() - 8, 0xFFFFFFFFu);
+    put_u32(record, record.size() - 4,
+            crc32(record.data(), record.size() - 4));
+    try {
+        decode_request(record);
+        ADD_FAILURE() << "decoded a 4-byte body as 2^32 - 1 features";
+    } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), "wire: truncated features");
+    }
+}
+
 TEST(ServeWire, UnknownTypeWithStaleCrcRejected) {
     Request request;
     request.type = MessageType::kPing;
@@ -542,6 +608,7 @@ TEST(ServeWire, TracedRequestRoundTripsAsVersion2) {
     request.parent_span_id = 0x00011112222ull;
     const std::vector<std::uint8_t> record = encode_request(request);
     EXPECT_EQ(record[4], 2u);
+    expect_pinned(record, 92u, 0x01aed43b66ca1d7dull);
     // v2 is exactly the v1 framing plus the 16-byte trace extension.
     const std::vector<std::uint8_t> v1 =
         encode_request(features_request());
@@ -576,6 +643,7 @@ TEST(ServeWire, ResponseTraceAndPayloadRoundTrip) {
     response.payload = "{\"schema\":\"wimi.stats.v1\",\"uptime_us\":5}";
     const std::vector<std::uint8_t> record = encode_response(response);
     EXPECT_EQ(record[4], 2u);
+    expect_pinned(record, 132u, 0xd710f58430f50f2full);
     const Response decoded = decode_response(record);
     EXPECT_EQ(decoded.status, Status::kOk);
     EXPECT_EQ(decoded.trace_id, response.trace_id);
