@@ -17,15 +17,13 @@ void FrameRing::push(const CsiFrame& frame) {
     if (antennas_ == 0) {
         antennas_ = frame.antenna_count();
         subcarriers_ = frame.subcarrier_count();
-    } else {
-        ensure(frame.antenna_count() == antennas_ &&
-                   frame.subcarrier_count() == subcarriers_,
-               "FrameRing::push: frame geometry " +
-                   std::to_string(frame.antenna_count()) + "x" +
-                   std::to_string(frame.subcarrier_count()) +
-                   " does not match ring geometry " +
-                   std::to_string(antennas_) + "x" +
-                   std::to_string(subcarriers_));
+    } else if (frame.antenna_count() != antennas_ ||
+               frame.subcarrier_count() != subcarriers_) {
+        fail("FrameRing::push: frame geometry " +
+             std::to_string(frame.antenna_count()) + "x" +
+             std::to_string(frame.subcarrier_count()) +
+             " does not match ring geometry " + std::to_string(antennas_) +
+             "x" + std::to_string(subcarriers_));
     }
     const std::size_t capacity = slots_.size();
     if (size_ == capacity) {

@@ -130,9 +130,10 @@ TraceHeader writable_header(const CsiSeries& series, std::uint32_t version) {
            "write_trace: unsupported version");
     series.validate();
     for (std::size_t i = 0; i < series.frames.size(); ++i) {
-        ensure(series.frames[i].is_finite(),
-               "write_trace: non-finite CSI values in frame " +
-                   std::to_string(i));
+        if (!series.frames[i].is_finite()) {
+            fail("write_trace: non-finite CSI values in frame " +
+                 std::to_string(i));
+        }
     }
     return {.version = version,
             .antenna_count = static_cast<std::uint32_t>(series.antenna_count()),

@@ -122,10 +122,11 @@ OnlinePsiGate::OnlinePsiGate(PsiReference reference, Config config)
 }
 
 void OnlinePsiGate::add(std::span<const double> features) {
-    ensure(features.size() == ref_.feature_count(),
-           "OnlinePsiGate::add: feature count mismatch (reference " +
-               std::to_string(ref_.feature_count()) + ", vector " +
-               std::to_string(features.size()) + ")");
+    if (features.size() != ref_.feature_count()) {
+        fail("OnlinePsiGate::add: feature count mismatch (reference " +
+             std::to_string(ref_.feature_count()) + ", vector " +
+             std::to_string(features.size()) + ")");
+    }
     if (pool_.size() == config_.capacity) {
         const std::vector<std::uint32_t>& oldest = pool_.front();
         for (std::size_t f = 0; f < oldest.size(); ++f) {
@@ -144,9 +145,10 @@ void OnlinePsiGate::add(std::span<const double> features) {
 }
 
 double OnlinePsiGate::psi() const {
-    ensure(ready(), "OnlinePsiGate::psi: pool has " +
-                        std::to_string(pool_.size()) + " vectors, need " +
-                        std::to_string(config_.min_samples));
+    if (!ready()) {
+        fail("OnlinePsiGate::psi: pool has " + std::to_string(pool_.size()) +
+             " vectors, need " + std::to_string(config_.min_samples));
+    }
     const double rows = static_cast<double>(pool_.size());
     double sum = 0.0;
     for (std::size_t f = 0; f < ref_.feature_count(); ++f) {

@@ -66,10 +66,8 @@ std::string model_cache_key(const std::filesystem::path& path) {
 }
 
 InferenceEngine::InferenceEngine(core::Model model, std::string digest)
-    : model_(std::move(model)) {
+    : model_(std::move(model)), digest_(std::move(digest)) {
     model_.validate();
-    info_ = model_info(model_);
-    info_.digest = std::move(digest);
 }
 
 InferenceEngine InferenceEngine::load(const std::filesystem::path& path) {
@@ -77,7 +75,6 @@ InferenceEngine InferenceEngine::load(const std::filesystem::path& path) {
     ModelInfo info;
     core::Model model = load_model_file(path, &info);
     InferenceEngine engine(std::move(model), info.digest);
-    engine.info_ = info;
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - start);
     WIMI_OBS_HISTOGRAM("serve.model_load_us",

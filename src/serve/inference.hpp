@@ -81,11 +81,10 @@ public:
     static void clear_cache();
 
     const core::Model& model() const { return model_; }
-    const ModelInfo& info() const { return info_; }
 
     /// Content digest of the source artifact (ModelInfo::digest; "" for
     /// in-process snapshots).
-    const std::string& digest() const { return info_.digest; }
+    const std::string& digest() const { return digest_; }
 
     /// core::Model::features with the persisted calibration.
     std::vector<double> features(const csi::CsiSeries& baseline,
@@ -113,7 +112,7 @@ public:
 
 private:
     core::Model model_;
-    ModelInfo info_;
+    std::string digest_;
 };
 
 /// The cache key load_cached() uses for `path`: the weakly

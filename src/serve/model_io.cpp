@@ -276,8 +276,10 @@ ml::MulticlassSvm decode_svm(ByteReader in) {
                                       std::move(machines));
 }
 
-}  // namespace
-
+/// The summary of `model` alone: the version save_model writes, the
+/// feature width, the class, pair, subcarrier and machine counts, and
+/// the support-vector total. file_bytes and digest describe a file and
+/// stay empty.
 ModelInfo model_info(const core::Model& model) {
     ModelInfo info;
     info.version = kModelCurrentVersion;
@@ -291,6 +293,8 @@ ModelInfo model_info(const core::Model& model) {
     }
     return info;
 }
+
+}  // namespace
 
 // --- writer -------------------------------------------------------------
 

@@ -94,12 +94,6 @@ struct ModelInfo {
     std::size_t support_vector_total = 0;
 };
 
-/// The summary of `model` alone: the version save_model writes, the
-/// feature width, the class, pair, subcarrier and machine counts, and
-/// the support-vector total. file_bytes and digest describe a file and
-/// stay empty.
-ModelInfo model_info(const core::Model& model);
-
 /// Writes `model` to `stream`. Throws wimi::Error on an inconsistent
 /// model (validate() fails) or stream failure.
 void save_model(std::ostream& stream, const core::Model& model);

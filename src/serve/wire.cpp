@@ -1,7 +1,9 @@
 #include "serve/wire.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string_view>
@@ -352,19 +354,30 @@ std::optional<std::vector<std::uint8_t>> read_record(
                "record header");
 
     const RecordHeader header = parse_header(record, expected_magic);
-    record.resize(record_header_bytes(header.version) +
-                  static_cast<std::size_t>(header.body_bytes) +
-                  kWireTrailerBytes);
-    read_exact(fd, record.data() + kWireHeaderBytes,
-               record.size() - kWireHeaderBytes, "record body");
+    const std::size_t total = record_header_bytes(header.version) +
+                              static_cast<std::size_t>(header.body_bytes) +
+                              kWireTrailerBytes;
+    // Grow with the bytes that arrive, not with the header's claim: the
+    // first step covers up to 64 KiB, then the buffer at most doubles, so
+    // a peer that claims kMaxBodyBytes and stalls holds 64 KiB, not 256 MiB.
+    std::size_t step = 64 * 1024;
+    while (record.size() < total) {
+        const std::size_t have = record.size();
+        record.resize(std::min(total, have + step));
+        read_exact(fd, record.data() + have, record.size() - have,
+                   "record body");
+        step = record.size();
+    }
     return record;
 }
 
 void write_record(int fd, std::span<const std::uint8_t> record) {
     std::size_t done = 0;
     while (done < record.size()) {
-        const ssize_t n =
-            ::write(fd, record.data() + done, record.size() - done);
+        // MSG_NOSIGNAL: a peer that hung up is an EPIPE error for this
+        // connection, not a SIGPIPE that ends the process.
+        const ssize_t n = ::send(fd, record.data() + done,
+                                 record.size() - done, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) {
                 continue;

@@ -1,6 +1,6 @@
 // wimi_serve wire protocol: length-prefixed, versioned, CRC-checked
-// request/response records over a local byte stream (Unix-domain
-// socket in practice; any reliable stream works).
+// request/response records over a stream socket (a Unix-domain socket
+// in practice).
 //
 // The framing follows the WCSI conventions (csi/trace_io.hpp,
 // serve/model_io.hpp): every multi-byte field is explicitly
@@ -208,12 +208,15 @@ struct RecordHeader {
 RecordHeader parse_header(std::span<const std::uint8_t> record,
                           const char magic[4]);
 
-/// Blocking record I/O over a file descriptor. read_record returns
-/// nullopt on clean EOF at a record boundary; mid-record EOF, an
-/// oversized body_bytes, or a foreign magic throws wimi::Error.
+/// Blocking record I/O over a connected stream socket. read_record
+/// returns nullopt on clean EOF at a record boundary; mid-record EOF, an
+/// oversized body_bytes, or a foreign magic throws wimi::Error. Its
+/// buffer grows with the bytes received, not with the claimed length.
 /// `expected_magic` is "WSRQ" (server side) or "WSRP" (client side).
+/// write_record sends without raising SIGPIPE: a peer that has gone is a
+/// wimi::Error.
 std::optional<std::vector<std::uint8_t>> read_record(
-    int fd, const char expected_magic[4]);
-void write_record(int fd, std::span<const std::uint8_t> record);
+    int socket, const char expected_magic[4]);
+void write_record(int socket, std::span<const std::uint8_t> record);
 
 }  // namespace wimi::serve::wire

@@ -15,8 +15,8 @@
 //     squared_distance_columns, dot_columns, all_finite (predicate),
 //     median (up to the sign of a zero that ties with its opposite)
 //   tolerance-gated (vector reassociates or uses a different but
-//   correctly-rounded-per-op formula; drift covered by simd.* rules in
-//   bench/baselines/rules.json):
+//   correctly-rounded-per-op formula; drift covered by the per-span
+//   parity check in tests/test_perf):
 //     sum, sum_squares, dot, squared_distance, centered_sum_squares
 //     (chunked Kahan partial sums merged in index order — deterministic
 //     per width, but not the sequential order), amplitude

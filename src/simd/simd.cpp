@@ -36,8 +36,6 @@ void set_enabled(bool on) {
                          std::memory_order_relaxed);
 }
 
-const char* active_isa() { return WIMI_SIMD_ISA; }
-
 std::size_t double_lanes() { return kDoubleLanes; }
 
 const char* effective_isa() { return enabled() ? WIMI_SIMD_ISA : "scalar"; }

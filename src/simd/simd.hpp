@@ -13,7 +13,8 @@
 // Dispatch contract (see DESIGN.md §10):
 //   * ISA and lane width are fixed at compile time. The CMake option
 //     WIMI_SIMD chooses the flags (off | auto | sse2 | avx2 | native);
-//     `active_isa()` reports what this binary was compiled for.
+//     `effective_isa()` reports what this binary was compiled for while
+//     the vector paths are on.
 //   * The WIMI_SIMD *environment variable* (and `set_enabled()`) toggle
 //     the vector paths at runtime: "off" / "scalar" / "0" routes every
 //     kernel through its scalar reference, which reproduces the pre-SIMD
@@ -22,8 +23,9 @@
 //   * Elementwise kernels and per-row reductions with a fixed scalar
 //     accumulation order are bit-exact between the two paths; kernels
 //     that reassociate a long reduction (lane-partial sums merged in
-//     lane order) are tolerance-gated instead — wimi.tolerance.v1 rules
-//     `simd.*` in bench/baselines/rules.json cover the downstream drift.
+//     lane order) are tolerance-gated instead — the per-span parity
+//     check in tests/test_perf (rel 1e-6, abs 1e-9) covers the
+//     downstream drift.
 #pragma once
 
 #include <array>
@@ -225,12 +227,8 @@ bool enabled();
 
 /// Runtime kill-switch for the vector paths; the scalar references are
 /// the pre-SIMD pipeline. Used by the differential tests and the
-/// scalar-vs-SIMD A/B sweep in bench_pipeline_perf.
+/// scalar-vs-SIMD parity and speedup gates in tests/test_perf.
 void set_enabled(bool on);
-
-/// ISA this binary was compiled for: "avx512" | "avx2" | "sse2" |
-/// "neon" | "scalar". Independent of enabled().
-const char* active_isa();
 
 /// Lane width the simd *library* was compiled at. Arch flags are scoped
 /// to the wimi_simd target, so kDoubleLanes in another translation unit
@@ -238,7 +236,8 @@ const char* active_isa();
 /// when the kernel width matters (tests, benches).
 std::size_t double_lanes();
 
-/// The ISA actually in effect: active_isa() when enabled(), else
+/// The ISA actually in effect: the one this binary was compiled for
+/// ("avx512" | "avx2" | "sse2" | "neon" | "scalar") when enabled(), else
 /// "scalar". This is what run manifests and metrics reports export.
 const char* effective_isa();
 

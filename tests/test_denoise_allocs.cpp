@@ -1,61 +1,23 @@
 // Allocation gate for the wavelet-correlation denoiser (paper Sec. III-C):
 // a call without a report allocates its plane buffer and the returned
 // series, and nothing else. This executable replaces operator new with a
-// counting one (as perfbench/alloc_count.cpp does), so the bound is an
-// exact count that holds on any machine.
+// counting one (alloc_counter.hpp, as perfbench/alloc_count.cpp does), so
+// the bound is an exact count that holds on any machine.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "dsp/wavelet_denoise.hpp"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) noexcept {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size == 0 ? 1 : size);
-}
-
-std::size_t allocations() {
-    return g_allocations.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-    void* p = counted_alloc(size);
-    if (p == nullptr) {
-        throw std::bad_alloc();
-    }
-    return p;
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    return counted_alloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    return counted_alloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-    std::free(p);
-}
-
 namespace wimi::dsp {
 namespace {
+
+using testutil::allocations;
 
 /// A CSI-like amplitude series with impulses, so every scale iterates.
 std::vector<double> impulse_series(std::size_t n, std::uint64_t seed) {

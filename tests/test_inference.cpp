@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "inference_workload.hpp"
 #include "serve/model.hpp"
 #include "serve/model_io.hpp"
 #include "sim/harness.hpp"
@@ -74,6 +75,37 @@ TEST(Inference, BatchIsBitIdenticalAcrossThreadWidths) {
             sim::predict_experiment(engine, parallel);
         EXPECT_EQ(a.predicted, b.predicted) << "threads=" << threads;
         EXPECT_EQ(a.truth, b.truth);
+    }
+}
+
+// The seeded serving experiment, trained, persisted and reloaded: its 120
+// unseen captures keep their accuracy (119 of 120 when pinned, 0.02 of
+// slack), and every batch width answers as the serial loop does.
+TEST(Inference, SeededExperimentKeepsItsAccuracyThroughTheFile) {
+    const sim::ExperimentConfig config = testutil::serving_experiment();
+    const auto path = std::filesystem::temp_directory_path() /
+                      "wimi_inference_seeded.wmdl";
+    save_model_file(path, sim::train_experiment_model(config));
+    const InferenceEngine engine = InferenceEngine::load(path);
+    std::filesystem::remove(path);
+    ASSERT_EQ(engine.model().class_names.size(), 6u);
+
+    const testutil::ServingWorkload w = testutil::serving_workload(config);
+    ASSERT_EQ(w.captures.size(), 120u);
+    std::vector<int> serial;
+    double correct = 0.0;
+    for (const sim::MeasurementPair& m : w.captures) {
+        serial.push_back(engine.predict(m.baseline, m.target).material_id);
+        correct += serial.back() == static_cast<int>(serial.size() - 1) / 20;
+    }
+    EXPECT_GE(correct / 120.0, 119.0 / 120.0 - 0.02) << correct << " correct";
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        std::vector<int> batched;
+        for (const Prediction& p :
+             engine.predict_batch(w.observations, {.threads = threads})) {
+            batched.push_back(p.material_id);
+        }
+        EXPECT_EQ(batched, serial) << "threads=" << threads;
     }
 }
 

@@ -49,15 +49,17 @@ TEST(ObsExporter, FlushAppendsValidJsonlWithIncreasingSeq) {
     TelemetryExporterOptions options;
     options.path = path;
     options.source = &reg;
-    TelemetryExporter exporter(options);
-    EXPECT_EQ(exporter.sequence(), 0u);
-    EXPECT_EQ(exporter.flush(), 1u);
-    reg.counter("csi.packets").add(50);
-    EXPECT_EQ(exporter.flush(), 2u);
-    EXPECT_EQ(exporter.flush(), 3u);
+    {
+        TelemetryExporter exporter(options);
+        EXPECT_EQ(exporter.sequence(), 0u);
+        EXPECT_EQ(exporter.flush(), 1u);
+        reg.counter("csi.packets").add(50);
+        EXPECT_EQ(exporter.flush(), 2u);
+        EXPECT_EQ(exporter.flush(), 3u);
+    }  // the destructor writes one final line
 
     const auto docs = read_jsonl(path);
-    ASSERT_EQ(docs.size(), 3u);
+    ASSERT_EQ(docs.size(), 4u);
     double prev_seq = 0.0;
     for (const json::Value& doc : docs) {
         EXPECT_EQ(doc.find("schema")->string, "wimi.metrics.v1");

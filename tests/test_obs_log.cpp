@@ -234,6 +234,7 @@ TEST_F(ObsLogTest, ConcurrentWritersNeverTearLines) {
               static_cast<std::size_t>(kThreads * kLinesPerThread));
     std::vector<int> per_writer(kThreads, 0);
     for (const json::Value& doc : docs) {
+        EXPECT_EQ(doc.find("schema")->string, "wimi.log.v1");
         const json::Value* writer = doc.find("fields")->find("writer");
         ASSERT_NE(writer, nullptr);
         per_writer[static_cast<int>(writer->num)] += 1;

@@ -76,6 +76,9 @@ TEST(ObsSampler, WarmSamplerKeepsTailDropsBulk) {
     }
     const double threshold = sampler.threshold();
     ASSERT_FALSE(std::isnan(threshold));
+    // Selective on all-successful traffic: some kept, some dropped.
+    EXPECT_GT(sampler.retained(), 0u);
+    EXPECT_GT(sampler.dropped(), 0u);
     // Far above the threshold: retained. Far below: dropped. A failure
     // below the threshold: still retained.
     EXPECT_TRUE(sampler.observe(threshold * 10.0, false));

@@ -111,6 +111,21 @@ std::vector<double> valid_features() {
     return std::vector<double>(fixture().feature_width, 0.25);
 }
 
+/// A raw client socket connected to `socket_path`.
+int connect_raw(const std::string& socket_path) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                             sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
 TEST(ServeDaemon, DistinctFixtureDigests) {
     // The hot-swap assertions below are vacuous if both artifacts hash
     // the same; pin the precondition.
@@ -240,6 +255,14 @@ TEST(ServeDaemon, OverloadIsExplicitRejectionNotHang) {
     EXPECT_GE(overloaded, 1u);
     EXPECT_GE(ok, 1u);
     EXPECT_EQ(daemon.stats().rejected_overload, overloaded);
+    // Every shed request is in the flight ring with its explicit outcome.
+    std::size_t flight_overloaded = 0;
+    for (const obs::FlightRecord& record :
+         daemon.flight_recorder().snapshot()) {
+        flight_overloaded +=
+            record.sample.outcome == obs::FlightOutcome::kOverloaded ? 1 : 0;
+    }
+    EXPECT_EQ(flight_overloaded, overloaded);
 }
 
 TEST(ServeDaemon, HotSwapNeverMixesDigests) {
@@ -447,15 +470,8 @@ TEST(ServeDaemon, CorruptRecordAnsweredThenHangup) {
     Daemon daemon(base_options("corrupt"));
     daemon.start();
 
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = connect_raw(daemon.socket_path());
     ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, daemon.socket_path().c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
 
     wire::Request ping;
     ping.type = wire::MessageType::kPing;
@@ -478,6 +494,51 @@ TEST(ServeDaemon, CorruptRecordAnsweredThenHangup) {
     EXPECT_TRUE(client.ping().ok());
     daemon.stop();
     EXPECT_GE(daemon.stats().rejected_bad_request, 1u);
+}
+
+TEST(ServeDaemon, ClientThatHangsUpBeforeItsAnswerLeavesTheDaemonServing) {
+    DaemonOptions options = base_options("hangup");
+    options.batch_stall = std::chrono::milliseconds(20);
+    Daemon daemon(options);
+    daemon.start();
+
+    // Send a predict, then close before the stalled batch answers it:
+    // the daemon's write of that answer meets a peer that has gone.
+    const int fd = connect_raw(daemon.socket_path());
+    ASSERT_GE(fd, 0);
+    wire::Request request;
+    request.type = wire::MessageType::kPredictFeatures;
+    request.features = valid_features();
+    wire::write_record(fd, wire::encode_request(request));
+    ::close(fd);
+    while (daemon.stats().responses_ok == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    ServeClient client(daemon.socket_path());
+    EXPECT_TRUE(client.ping().ok());
+    daemon.stop();
+}
+
+TEST(ServeDaemon, ClientWhoseDaemonHungUpGetsAnError) {
+    const std::string path = test_socket("hungup");
+    std::filesystem::remove(path);
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+
+    ServeClient client(path);
+    ::close(::accept(listener, nullptr, nullptr));
+    EXPECT_THROW(client.ping(), Error);
+    ::close(listener);
+    std::filesystem::remove(path);
 }
 
 TEST(ServeDaemon, TracePropagationCrossesTheSocket) {
@@ -577,15 +638,8 @@ TEST(ServeDaemon, UnknownKindAnsweredWithoutHangup) {
     Daemon daemon(base_options("unknownkind"));
     daemon.start();
 
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = connect_raw(daemon.socket_path());
     ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, daemon.socket_path().c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
 
     // A well-formed record whose type this daemon has never heard of:
     // rewrite a ping's type and re-sign the CRC, as a newer client
